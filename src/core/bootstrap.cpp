@@ -57,8 +57,10 @@ BootstrapResult bootstrap_geolocation(const std::vector<UserProfileEntry>& users
 
   // Draw every resampled histogram serially (the RNG stream is identical
   // to the former all-serial loop), then refit the mixtures — the actual
-  // cost — across the thread pool.  The merge below runs in resample
-  // order, so results match the serial path exactly.
+  // cost — across the thread pool, one chunk per refit: EM iteration
+  // counts vary widely between resamples, so workers claim refits one at a
+  // time instead of each taking a fixed share.  The merge below runs in
+  // resample order, so results match the serial path exactly.
   const auto resamples = static_cast<std::size_t>(bootstrap.resamples);
   std::vector<std::vector<double>> histograms(resamples);
   util::Rng rng{bootstrap.seed};
@@ -71,7 +73,7 @@ BootstrapResult bootstrap_geolocation(const std::vector<UserProfileEntry>& users
   }
 
   std::vector<MixtureFitOutcome> refits(resamples);
-  ThreadPool::global().for_chunks(resamples, 0, [&](std::size_t begin, std::size_t end) {
+  ThreadPool::global().for_chunks(resamples, resamples, [&](std::size_t begin, std::size_t end) {
     for (std::size_t r = begin; r < end; ++r) {
       refits[r] = fit_mixture_to_counts(histograms[r], options);
     }

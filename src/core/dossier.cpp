@@ -14,32 +14,6 @@ namespace tzgeo::core {
 
 namespace {
 
-/// Equation-1 profile over deduplicated (day, hour) cells.  `cells` is a
-/// caller-provided scratch vector (sort + unique beats a node-based
-/// std::set: one allocation amortized across users instead of one per
-/// event).
-[[nodiscard]] HourlyProfile profile_from_events(const std::vector<tz::UtcSeconds>& events,
-                                                std::vector<std::int64_t>& cells) {
-  cells.clear();
-  for (const tz::UtcSeconds t : events) {
-    std::int64_t day = t / tz::kSecondsPerDay;
-    std::int64_t rem = t % tz::kSecondsPerDay;
-    if (rem < 0) {
-      rem += tz::kSecondsPerDay;
-      --day;
-    }
-    cells.push_back(cell_of_day_hour(day, rem / tz::kSecondsPerHour));
-  }
-  std::sort(cells.begin(), cells.end());
-  cells.erase(std::unique(cells.begin(), cells.end()), cells.end());
-
-  std::vector<double> counts(kProfileBins, 0.0);
-  for (const std::int64_t cell : cells) {
-    counts[static_cast<std::size_t>(hour_of_cell(cell))] += 1.0;
-  }
-  return HourlyProfile::from_counts(counts);
-}
-
 [[nodiscard]] UserDossier build_dossier_impl(std::uint64_t user,
                                              const std::vector<tz::UtcSeconds>& events,
                                              const PlacementEngine& engine,
@@ -49,7 +23,7 @@ namespace {
   dossier.user = user;
   dossier.posts = events.size();
   dossier.enough_data = events.size() >= options.min_posts;
-  dossier.profile = profile_from_events(events, cell_scratch);
+  dossier.profile = profile_of_events(events, cell_scratch);
 
   dossier.placement = engine.place(user, dossier.profile);
   dossier.flat = engine.distance_to_uniform(dossier.profile) < dossier.placement.distance;
@@ -115,7 +89,7 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
       dossier.user = ranked[i].first;
       dossier.posts = ranked[i].second;
       dossier.enough_data = ranked[i].second >= options.min_posts;
-      dossier.profile = profile_from_events(trace.events_of(ranked[i].first), cell_scratch);
+      dossier.profile = profile_of_events(trace.events_of(ranked[i].first), cell_scratch);
       profiled[i] = UserProfileEntry{dossier.user, dossier.posts, dossier.profile};
     }
   });

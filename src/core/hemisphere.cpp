@@ -1,9 +1,6 @@
 #include "core/hemisphere.hpp"
 
 #include <algorithm>
-#include <set>
-
-#include "stats/histogram.hpp"
 
 namespace tzgeo::core {
 
@@ -33,28 +30,6 @@ struct SeasonWindows {
   return w;
 }
 
-/// Equation-1 style profile over a subset of events: distinct (day, hour)
-/// cells, counted per hour and normalized.
-[[nodiscard]] HourlyProfile seasonal_profile(const std::vector<tz::UtcSeconds>& events,
-                                             std::size_t* post_count) {
-  std::set<std::int64_t> cells;
-  for (const tz::UtcSeconds t : events) {
-    std::int64_t day = t / tz::kSecondsPerDay;
-    std::int64_t rem = t % tz::kSecondsPerDay;
-    if (rem < 0) {
-      rem += tz::kSecondsPerDay;
-      --day;
-    }
-    cells.insert(cell_of_day_hour(day, rem / tz::kSecondsPerHour));
-  }
-  *post_count = events.size();
-  std::vector<double> counts(kProfileBins, 0.0);
-  for (const std::int64_t cell : cells) {
-    counts[static_cast<std::size_t>(hour_of_cell(cell))] += 1.0;
-  }
-  return HourlyProfile::from_counts(counts);
-}
-
 }  // namespace
 
 const char* to_string(HemisphereVerdict verdict) noexcept {
@@ -70,20 +45,23 @@ const char* to_string(HemisphereVerdict verdict) noexcept {
 HemisphereResult classify_hemisphere(const std::vector<tz::UtcSeconds>& events,
                                      const HemisphereOptions& options) {
   const SeasonWindows w = windows_for(options.year);
-  std::vector<tz::UtcSeconds> summer;
-  std::vector<tz::UtcSeconds> winter;
+  // Each season's (day, hour) cells; its Equation 1 profile follows.
+  std::vector<std::int64_t> summer;
+  std::vector<std::int64_t> winter;
   for (const tz::UtcSeconds t : events) {
     if (t >= w.summer_begin && t < w.summer_end) {
-      summer.push_back(t);
+      summer.push_back(tz::hour_cell_of(t));
     } else if ((t >= w.winter_a_begin && t < w.winter_a_end) ||
                (t >= w.winter_b_begin && t < w.winter_b_end)) {
-      winter.push_back(t);
+      winter.push_back(tz::hour_cell_of(t));
     }
   }
 
   HemisphereResult result;
-  const HourlyProfile summer_profile = seasonal_profile(summer, &result.summer_posts);
-  const HourlyProfile winter_profile = seasonal_profile(winter, &result.winter_posts);
+  result.summer_posts = summer.size();
+  result.winter_posts = winter.size();
+  const HourlyProfile summer_profile = profile_of_cells(summer);
+  const HourlyProfile winter_profile = profile_of_cells(winter);
   if (result.summer_posts < options.min_posts_per_season ||
       result.winter_posts < options.min_posts_per_season) {
     result.verdict = HemisphereVerdict::kInsufficient;

@@ -24,13 +24,7 @@ void IncrementalGeolocator::observe(std::uint64_t user, tz::UtcSeconds when) {
   const std::uint32_t handle = ids_.intern(user);
   if (handle == states_.size()) states_.emplace_back();
   UserState& state = states_[handle];
-  std::int64_t day = when / tz::kSecondsPerDay;
-  std::int64_t rem = when % tz::kSecondsPerDay;
-  if (rem < 0) {
-    rem += tz::kSecondsPerDay;
-    --day;
-  }
-  state.cells.push_back(cell_of_day_hour(day, rem / tz::kSecondsPerHour));
+  state.cells.push_back(tz::hour_cell_of(when));
   ++pending_cells_;
   // Keep the duplicate-carrying tail bounded: once it outgrows the
   // deduplicated prefix, fold it in.
@@ -52,18 +46,13 @@ void IncrementalGeolocator::observe(std::string_view identity, tz::UtcSeconds wh
 
 void IncrementalGeolocator::compact(UserState& state) {
   pending_cells_ -= state.cells.size() - state.sorted;
-  std::sort(state.cells.begin(), state.cells.end());
-  state.cells.erase(std::unique(state.cells.begin(), state.cells.end()), state.cells.end());
+  state.cells.resize(dedup_cells(state.cells));
   state.sorted = state.cells.size();
 }
 
 void IncrementalGeolocator::refresh(std::uint64_t user, UserState& state) {
   if (state.sorted != state.cells.size()) compact(state);
-  std::vector<double> counts(kProfileBins, 0.0);
-  for (const std::int64_t cell : state.cells) {
-    counts[static_cast<std::size_t>(hour_of_cell(cell))] += 1.0;
-  }
-  const HourlyProfile profile = HourlyProfile::from_counts(counts);
+  const HourlyProfile profile = profile_of_cells(state.cells);
 
   state.placement = engine_.place(user, profile);
   const double to_uniform = engine_.distance_to_uniform(profile);

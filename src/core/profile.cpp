@@ -1,5 +1,7 @@
 #include "core/profile.hpp"
 
+#include <algorithm>
+#include <array>
 #include <stdexcept>
 
 #include "stats/descriptive.hpp"
@@ -20,6 +22,26 @@ HourlyProfile HourlyProfile::from_counts(std::span<const double> counts) {
     if (c < 0.0) throw std::invalid_argument("HourlyProfile: negative count");
   }
   return HourlyProfile{stats::normalize(counts)};
+}
+
+std::size_t dedup_cells(std::span<std::int64_t> cells) {
+  if (!std::is_sorted(cells.begin(), cells.end())) std::sort(cells.begin(), cells.end());
+  return static_cast<std::size_t>(std::unique(cells.begin(), cells.end()) - cells.begin());
+}
+
+HourlyProfile profile_of_cells(std::span<std::int64_t> cells) {
+  std::array<double, kProfileBins> counts{};
+  for (const std::int64_t cell : cells.first(dedup_cells(cells))) {
+    counts[static_cast<std::size_t>(hour_of_cell(cell))] += 1.0;
+  }
+  return HourlyProfile::from_counts(counts);
+}
+
+HourlyProfile profile_of_events(std::span<const tz::UtcSeconds> events,
+                                std::vector<std::int64_t>& scratch) {
+  scratch.clear();
+  for (const tz::UtcSeconds t : events) scratch.push_back(tz::hour_cell_of(t));
+  return profile_of_cells(scratch);
 }
 
 HourlyProfile HourlyProfile::from_distribution(std::span<const double> values) {

@@ -5,6 +5,7 @@
 #include <span>
 #include <vector>
 
+#include "timezone/civil.hpp"
 #include "util/constants.hpp"
 
 namespace tzgeo::core {
@@ -52,6 +53,24 @@ class HourlyProfile {
   explicit HourlyProfile(std::vector<double> values);
   std::vector<double> values_;
 };
+
+/// Sorts encoded (day, hour) cells (see cell_of_day_hour) unless they are
+/// already non-decreasing — the usual case for time-ordered input, checked
+/// in one linear pass — and moves the distinct cells to the front, in
+/// ascending order.  Returns how many are distinct.  This is the one cell
+/// dedup of the code base: every Equation 1 path runs through it.
+[[nodiscard]] std::size_t dedup_cells(std::span<std::int64_t> cells);
+
+/// Equation 1 over a user's activity cells: dedups them in place
+/// (dedup_cells), counts the distinct cells per hour of day and normalizes
+/// the 24 counts (HourlyProfile::from_counts).
+[[nodiscard]] HourlyProfile profile_of_cells(std::span<std::int64_t> cells);
+
+/// Equation 1 over raw UTC instants: their cells (tz::hour_cell_of) go
+/// into `scratch`, a caller-owned buffer reused across calls, and from
+/// there through profile_of_cells.
+[[nodiscard]] HourlyProfile profile_of_events(std::span<const tz::UtcSeconds> events,
+                                              std::vector<std::int64_t>& scratch);
 
 /// Equation 2: population profile as the normalized sum of user profiles.
 /// (Each user profile sums to 1, so this is the per-bin mean.)

@@ -104,6 +104,15 @@ struct CivilDateTime {
 /// Hour-of-day (0..23) of an instant offset by `offset_seconds` from UTC.
 [[nodiscard]] std::int32_t hour_of_day(UtcSeconds instant, std::int64_t offset_seconds) noexcept;
 
+/// Hours since the epoch, rounded toward negative infinity.  This is the
+/// encoded (day, hour) activity cell of Equation 1 — day * 24 + hour of the
+/// day and hour containing `instant` (see cell_of_day_hour) — computed by
+/// one floor division, correct for pre-epoch instants.
+[[nodiscard]] inline constexpr std::int64_t hour_cell_of(UtcSeconds instant) noexcept {
+  const std::int64_t hours = instant / kSecondsPerHour;
+  return instant % kSecondsPerHour < 0 ? hours - 1 : hours;
+}
+
 /// "YYYY-MM-DD" / "YYYY-MM-DD HH:MM:SS" rendering (always zero-padded).
 [[nodiscard]] std::string to_string(const CivilDate& date);
 [[nodiscard]] std::string to_string(const CivilDateTime& dt);

@@ -1,11 +1,13 @@
 #include "util/checkpoint.hpp"
 
+#include <algorithm>
 #include <array>
 #include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <set>
 
 #if defined(__unix__) || defined(__APPLE__)
@@ -23,6 +25,8 @@ constexpr char kManifestMagic[4] = {'T', 'Z', 'C', 'M'};
 constexpr std::size_t kHeaderSize = 4 + 4 + 8;  // magic + version + payload_size
 constexpr std::size_t kTrailerSize = 4;         // crc32
 constexpr std::size_t kManifestHeaderSize = 4 + 4 + 4;  // magic + version + entry_count
+/// Smallest directory row: key length + empty key + payload size + CRC.
+constexpr std::size_t kManifestRowMinSize = 8 + 8 + 4;
 
 /// Reflected CRC-32 table for polynomial 0xEDB88320, built once.
 [[nodiscard]] const std::array<std::uint32_t, 256>& crc_table() {
@@ -339,7 +343,10 @@ std::vector<ManifestEntryStatus> read_manifest_checkpoint_file(const std::string
     std::uint32_t payload_crc = 0;
   };
   std::vector<DirectoryRow> directory;
-  directory.reserve(entry_count);
+  // The count is not verified yet (the directory CRC comes after the
+  // rows), so reserve no more rows than the bytes present can hold.
+  directory.reserve(std::min<std::size_t>(
+      entry_count, (blob.size() - kManifestHeaderSize) / kManifestRowMinSize));
   std::size_t pos = kManifestHeaderSize;
   const auto need = [&](std::size_t bytes) {
     if (blob.size() - pos < bytes) {
@@ -383,9 +390,15 @@ std::vector<ManifestEntryStatus> read_manifest_checkpoint_file(const std::string
   // Expected total length check AFTER the directory verified: a file
   // longer than the directory promises is corruption the per-entry CRCs
   // cannot localize.
+  // The sum saturates: verified sizes can still add past 2^64, and a
+  // wrapped sum would misreport a short file as one with trailing bytes.
   std::uint64_t blobs_size = 0;
-  for (const DirectoryRow& row : directory) blobs_size += row.payload_size;
-  if (blob.size() > pos + blobs_size) {
+  for (const DirectoryRow& row : directory) {
+    blobs_size = row.payload_size > std::numeric_limits<std::uint64_t>::max() - blobs_size
+                     ? std::numeric_limits<std::uint64_t>::max()
+                     : blobs_size + row.payload_size;
+  }
+  if (blob.size() - pos > blobs_size) {
     throw CheckpointError(CheckpointErrorCode::kMalformed,
                           path + " carries trailing bytes after the last manifest payload");
   }

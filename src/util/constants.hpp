@@ -62,7 +62,8 @@ static_assert(kMaxZone - kMinZone + 1 == static_cast<std::int32_t>(kZoneCount),
 /// cell_of_day_hour, correct for negative cells where `/` would round
 /// toward zero.
 [[nodiscard]] inline constexpr std::int64_t day_of_cell(std::int64_t cell) noexcept {
-  return (cell - hour_of_cell(cell)) / kHoursPerDay;
+  const std::int64_t days = cell / kHoursPerDay;
+  return cell % kHoursPerDay < 0 ? days - 1 : days;
 }
 
 }  // namespace tzgeo

@@ -13,6 +13,8 @@
 #include <fstream>
 #include <string>
 
+#include <unistd.h>
+
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 
@@ -28,6 +30,15 @@ constexpr std::uint32_t kVersion = 7;
 
 [[nodiscard]] std::string temp_path(const std::string& name) {
   return (fs::path(::testing::TempDir()) / name).string();
+}
+
+/// A temp file of the running test's own, named after the test and the
+/// process: ctest runs every test as its own process, in parallel under
+/// -j, so a path shared between tests lets one test read another's bytes.
+[[nodiscard]] std::string test_temp_path(const std::string& stem) {
+  const ::testing::TestInfo* info = ::testing::UnitTest::GetInstance()->current_test_info();
+  return temp_path(stem + "." + info->test_suite_name() + "." + info->name() + "." +
+                   std::to_string(::getpid()) + ".bin");
 }
 
 [[nodiscard]] std::string read_raw(const std::string& path) {
@@ -59,7 +70,7 @@ class CheckpointFile : public ::testing::Test {
     fs::remove(path_ + ".tmp", ignored);
   }
 
-  std::string path_ = temp_path("ckpt_test.bin");
+  std::string path_ = test_temp_path("ckpt");
 };
 
 TEST(Crc32, MatchesKnownVector) {
@@ -134,7 +145,7 @@ TEST_F(CheckpointFile, OverwriteIsAtomicReplacement) {
 }
 
 TEST_F(CheckpointFile, MissingFileIsIoError) {
-  EXPECT_EQ(code_of_read(temp_path("ckpt_never_written.bin")), CheckpointErrorCode::kIo);
+  EXPECT_EQ(code_of_read(path_ + ".never_written"), CheckpointErrorCode::kIo);
 }
 
 TEST_F(CheckpointFile, ZeroLengthFileIsTruncated) {
@@ -203,6 +214,7 @@ TEST_F(CheckpointFile, RandomCorruptionFuzz) {
     tzgeo::util::write_checkpoint_file(path_, payload, kVersion);
 
     std::string blob = read_raw(path_);
+    ASSERT_FALSE(blob.empty()) << "round " << round << ": frame vanished after its write";
     switch (rng.uniform_int(0, 2)) {
       case 0:  // truncate
         blob.resize(static_cast<std::size_t>(
@@ -271,7 +283,7 @@ class ManifestFile : public ::testing::Test {
     return offset + 4;  // directory CRC
   }
 
-  std::string path_ = temp_path("manifest_test.bin");
+  std::string path_ = test_temp_path("manifest");
 };
 
 TEST_F(ManifestFile, RoundTripPreservesOrderAndPayloads) {
@@ -440,6 +452,35 @@ TEST_F(ManifestFile, TrailingJunkIsRefusedWhole) {
     FAIL() << "trailing junk accepted";
   } catch (const CheckpointError& error) {
     EXPECT_EQ(error.code(), CheckpointErrorCode::kMalformed);
+  }
+}
+
+TEST_F(ManifestFile, PayloadSizesSummingPast64BitsAreShortEntries) {
+  // A directory that passes its CRC but whose payload sizes add up past
+  // 2^64.  Summed with wraparound they would promise 8 bytes and call the
+  // 16 present "trailing"; every entry in fact claims more than exists.
+  ByteWriter writer;
+  for (const char c : std::string_view{"TZCM"}) writer.u8(static_cast<std::uint8_t>(c));
+  writer.u32(kVersion);
+  writer.u32(2);
+  writer.str("a");
+  writer.u64(std::uint64_t{1} << 63);
+  writer.u32(0);
+  writer.str("b");
+  writer.u64((std::uint64_t{1} << 63) + 8);
+  writer.u32(0);
+  std::string blob = writer.take();
+  ByteWriter directory_crc;
+  directory_crc.u32(tzgeo::util::crc32(blob));
+  blob += directory_crc.take();
+  blob += std::string(16, 'x');
+  write_raw(path_, blob);
+
+  const auto statuses = tzgeo::util::read_manifest_checkpoint_file(path_, kVersion);
+  ASSERT_EQ(statuses.size(), 2u);
+  for (const ManifestEntryStatus& status : statuses) {
+    EXPECT_FALSE(status.ok) << status.key;
+    EXPECT_EQ(status.error, CheckpointErrorCode::kTruncated) << status.key;
   }
 }
 

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+#include <tuple>
+
 #include "synth/persona.hpp"
 #include "synth/trace_gen.hpp"
 #include "timezone/zone_db.hpp"
@@ -156,9 +159,12 @@ TEST(ClassifyCrowd, EmptyTrace) {
 }
 
 // The paper's validation: 5 users each from UK, Germany, Italy -> all
-// northern; 5 from Brazil -> all southern (Section V-F).
-class HemisphereValidation
-    : public ::testing::TestWithParam<std::tuple<const char*, HemisphereVerdict>> {};
+// northern; 5 from Brazil -> all southern (Section V-F). The zone is held
+// as a std::string so gtest prints its text, not its address, and the
+// discovered test names stay the same from one build to the next.
+using ZoneCase = std::tuple<std::string, HemisphereVerdict>;
+
+class HemisphereValidation : public ::testing::TestWithParam<ZoneCase> {};
 
 TEST_P(HemisphereValidation, FiveMostActiveUsersClassified) {
   const auto [zone_name, expected] = GetParam();
@@ -172,11 +178,11 @@ TEST_P(HemisphereValidation, FiveMostActiveUsersClassified) {
 
 INSTANTIATE_TEST_SUITE_P(
     PaperRegions, HemisphereValidation,
-    ::testing::Values(std::tuple{"Europe/London", HemisphereVerdict::kNorthern},
-                      std::tuple{"Europe/Berlin", HemisphereVerdict::kNorthern},
-                      std::tuple{"Europe/Rome", HemisphereVerdict::kNorthern},
-                      std::tuple{"America/Sao_Paulo", HemisphereVerdict::kSouthern}),
-    [](const ::testing::TestParamInfo<std::tuple<const char*, HemisphereVerdict>>& info) {
+    ::testing::Values(ZoneCase{"Europe/London", HemisphereVerdict::kNorthern},
+                      ZoneCase{"Europe/Berlin", HemisphereVerdict::kNorthern},
+                      ZoneCase{"Europe/Rome", HemisphereVerdict::kNorthern},
+                      ZoneCase{"America/Sao_Paulo", HemisphereVerdict::kSouthern}),
+    [](const ::testing::TestParamInfo<ZoneCase>& info) {
       std::string name = std::get<0>(info.param);
       for (char& c : name) {
         if (c == '/') c = '_';
