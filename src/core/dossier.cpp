@@ -1,13 +1,11 @@
 #include "core/dossier.hpp"
 
 #include <algorithm>
-#include <memory>
 
 #include "core/placement_metrics.hpp"
 #include "core/report.hpp"
 #include "core/soa_crowd.hpp"
 #include "core/thread_pool.hpp"
-#include "obs/stopwatch.hpp"
 #include "util/strings.hpp"
 
 namespace tzgeo::core {
@@ -95,22 +93,11 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
   });
 
   if (!profiled.empty()) {
-    SoaCrowdCache::Prepare prepare;
-    const std::shared_ptr<const SoaCrowd> crowd =
-        SoaCrowdCache::global().get(profiled, engine.soa_planes(), &prepare);
-    detail::record_soa_prepare(prepare);
+    SoaCrowd crowd;
+    detail::build_soa_crowd(crowd, profiled, engine);
     std::vector<UserPlacement> placements(profiled.size());
     std::vector<double> to_uniform(profiled.size());
-    ThreadPool::global().for_chunks(crowd->groups(), 0,
-                                    [&](std::size_t begin, std::size_t end) {
-      const obs::Stopwatch watch;
-      PlacementEngine::SoaStats counters;
-      engine.place_soa(*crowd, begin, end, placements.data(), counters);
-      engine.uniform_distance_soa(*crowd, begin, end, to_uniform.data());
-      const std::size_t last_slot = std::min(end * simd::kLanes, crowd->size());
-      detail::record_soa_batch(watch.elapsed_us(), last_slot - begin * simd::kLanes,
-                               counters);
-    });
+    detail::place_soa_pooled(engine, crowd, placements.data(), to_uniform.data());
     for (std::size_t i = 0; i < dossiers.size(); ++i) {
       dossiers[i].placement = placements[i];
       dossiers[i].flat = to_uniform[i] < placements[i].distance;

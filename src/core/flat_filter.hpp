@@ -6,6 +6,7 @@
 // way to polish all the generic timezone profiles."
 #pragma once
 
+#include <cstddef>
 #include <vector>
 
 #include "core/placement.hpp"
@@ -37,5 +38,18 @@ struct PolishResult {
                                              const TimeZoneProfiles& initial_zones,
                                              PlacementMetric metric = PlacementMetric::kCircularEmd,
                                              int max_rounds = 8);
+
+/// The polish (polish_population's default 8 rounds) followed by the crowd
+/// placement geolocate_crowd reports.  The survivors are placed on
+/// `initial_zones`, not on the polished profiles: round 0 of the polish
+/// already placed every user there, so the result reuses those placements
+/// instead of placing the crowd again.
+struct PolishedPlacement {
+  PlacementResult placement;  ///< the survivors, in input order
+  std::size_t removed = 0;    ///< users filtered as flat
+};
+[[nodiscard]] PolishedPlacement polish_and_place(
+    const std::vector<UserProfileEntry>& users, const TimeZoneProfiles& initial_zones,
+    PlacementMetric metric = PlacementMetric::kCircularEmd);
 
 }  // namespace tzgeo::core

@@ -59,21 +59,21 @@ GeolocationResult geolocate_crowd(const std::vector<UserProfileEntry>& users,
   const obs::ScopedSpan geolocate_span("geolocate");
   GeolocationResult result;
 
-  const std::vector<UserProfileEntry>* crowd = &users;
-  PolishResult polish{FlatFilterResult{{}, {}}, zones, 0};
+  // The crowd is placed on the input zones either way.  With the flat
+  // filter on, the polish's round 0 already placed every user there, so
+  // the survivors keep those placements (bit-identical to placing them
+  // again); without it, the pooled placement runs on everyone.
   if (options.apply_flat_filter) {
-    polish = polish_population(users, zones, options.metric);
-    result.users_filtered_flat = polish.split.removed.size();
-    crowd = &polish.split.kept;
+    PolishedPlacement polished = polish_and_place(users, zones, options.metric);
+    result.users_filtered_flat = polished.removed;
+    result.placement = std::move(polished.placement);
+  } else {
+    result.placement = place_crowd_parallel(users, zones, options.metric);
   }
-  result.users_analyzed = crowd->size();
-  if (crowd->empty()) {
+  result.users_analyzed = result.placement.users.size();
+  if (result.placement.users.empty()) {
     throw std::invalid_argument("geolocate_crowd: no users survive filtering");
   }
-
-  // Pooled placement is bit-identical to the serial path and falls back
-  // to it for small crowds.
-  result.placement = place_crowd_parallel(*crowd, zones, options.metric);
   result.confidence = placement_confidence(result.placement);
 
   MixtureFitOutcome mixture = fit_mixture_to_counts(result.placement.counts, options);

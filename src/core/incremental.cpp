@@ -89,9 +89,10 @@ void IncrementalGeolocator::restore_checkpoint(std::string_view payload) {
     throw util::CheckpointError(util::CheckpointErrorCode::kBadVersion,
                                 "geolocator payload version " + std::to_string(version));
   }
-  const std::uint64_t user_count = reader.u64();
-  states_.reserve(static_cast<std::size_t>(user_count));
-  for (std::uint64_t i = 0; i < user_count; ++i) {
+  // Each user is at least its key, post count and cell count (3 x u64).
+  const std::size_t user_count = reader.count(3 * sizeof(std::uint64_t));
+  states_.reserve(user_count);
+  for (std::size_t i = 0; i < user_count; ++i) {
     const std::uint64_t key = reader.u64();
     if (ids_.intern(key) != i) {
       throw util::CheckpointError(util::CheckpointErrorCode::kMalformed,
@@ -100,13 +101,13 @@ void IncrementalGeolocator::restore_checkpoint(std::string_view payload) {
     states_.emplace_back();
     UserState& state = states_.back();
     state.posts = static_cast<std::size_t>(reader.u64());
-    const std::uint64_t cell_count = reader.u64();
+    const std::size_t cell_count = reader.count(sizeof(std::int64_t));
     if (cell_count > state.posts) {
       throw util::CheckpointError(util::CheckpointErrorCode::kMalformed,
                                   "more distinct cells than posts in geolocator payload");
     }
-    state.cells.reserve(static_cast<std::size_t>(cell_count));
-    for (std::uint64_t c = 0; c < cell_count; ++c) {
+    state.cells.reserve(cell_count);
+    for (std::size_t c = 0; c < cell_count; ++c) {
       const std::int64_t cell = reader.i64();
       if (!state.cells.empty() && cell <= state.cells.back()) {
         throw util::CheckpointError(util::CheckpointErrorCode::kMalformed,

@@ -23,6 +23,26 @@ constexpr std::size_t kSerialCutoff = 256;  ///< below this, parallelism doesn't
 
 }  // namespace
 
+void detail::build_soa_crowd(SoaCrowd& crowd, const std::vector<UserProfileEntry>& users,
+                             const PlacementEngine& engine) {
+  const obs::Stopwatch transpose;
+  crowd.build(users, engine.soa_planes());
+  record_soa_prepare(SoaCrowdCache::Prepare{false, transpose.elapsed_us()});
+}
+
+void detail::place_soa_pooled(const PlacementEngine& engine, const SoaCrowd& crowd,
+                              UserPlacement* out, double* to_uniform) {
+  const std::size_t max_chunks = crowd.size() < kSerialCutoff ? 1 : 0;
+  ThreadPool::global().for_chunks(crowd.groups(), max_chunks,
+                                  [&](std::size_t begin, std::size_t end) {
+    const obs::Stopwatch watch;
+    PlacementEngine::SoaStats counters;
+    engine.place_soa(crowd, begin, end, out, counters, nullptr, to_uniform);
+    const std::size_t last_slot = std::min(end * simd::kLanes, crowd.size());
+    record_soa_batch(watch.elapsed_us(), last_slot - begin * simd::kLanes, counters);
+  });
+}
+
 PlacementResult place_crowd_parallel(const std::vector<UserProfileEntry>& users,
                                      const TimeZoneProfiles& zones, PlacementMetric metric,
                                      std::size_t threads) {

@@ -184,105 +184,51 @@ namespace {
 // tzgeo: hot — per-group placement loop; allocation-free by construction.
 void PlacementEngine::place_soa(const SoaCrowd& crowd, std::size_t group_begin,
                                 std::size_t group_end, UserPlacement* out,
-                                SoaStats& counters, double* zone_counts) const noexcept {
+                                SoaStats& counters, double* zone_counts,
+                                double* to_uniform) const noexcept {
   const simd::KernelTable& kernels = simd::kernels();
   const double* planes = crowd.planes();
   const std::size_t stride = crowd.stride();
   simd::GroupPlacement group;
   simd::GroupStats group_stats;
+  alignas(64) double lane_uniform[simd::kLanes];
   for (std::size_t g = group_begin; g < group_end; ++g) {
     const std::size_t base = g * simd::kLanes;
     switch (metric_) {
       case PlacementMetric::kEmd:
         kernels.place_linear(planes, stride, base, zone_cdfs_.data(), group);
+        if (to_uniform != nullptr) {
+          kernels.row_linear(planes, stride, base, uniform_cdf_.data(), lane_uniform);
+        }
         group_stats.zone_groups_evaluated += kZoneCount;
         break;
       case PlacementMetric::kCircularEmd:
         kernels.place_circular(planes, stride, base, zone_circ_rows_.data(), group,
                                group_stats);
+        if (to_uniform != nullptr) {
+          kernels.row_circular(planes, stride, base, uniform_cdf_.data(), lane_uniform);
+        }
         break;
       case PlacementMetric::kTotalVariation:
         kernels.place_tv(planes, stride, base, zone_bins_.data(), group);
+        if (to_uniform != nullptr) {
+          kernels.row_tv(planes, stride, base, uniform_bins_.data(), lane_uniform);
+        }
         group_stats.zone_groups_evaluated += kZoneCount;
         break;
     }
     const std::size_t lanes = live_lanes(base, crowd.size());
     for (std::size_t l = 0; l < lanes; ++l) {
       const std::size_t slot = base + l;
+      const std::size_t index = crowd.index_of_slot(slot);
       const auto bin = static_cast<std::int32_t>(group.zone_bin[l]);
-      UserPlacement& placement = out[crowd.index_of_slot(slot)];
+      UserPlacement& placement = out[index];
       placement.user = crowd.user_of_slot(slot);
       placement.zone_hours = kMinZone + bin;
       placement.distance = group.distance[l];
       placement.runner_up_distance = group.runner_up[l];
       if (zone_counts != nullptr) zone_counts[static_cast<std::size_t>(bin)] += 1.0;
-    }
-  }
-  counters.groups += group_end - group_begin;
-  counters.zone_groups_pruned += group_stats.zone_groups_pruned;
-  counters.zone_groups_evaluated += group_stats.zone_groups_evaluated;
-}
-
-// tzgeo: hot
-void PlacementEngine::uniform_distance_soa(const SoaCrowd& crowd, std::size_t group_begin,
-                                           std::size_t group_end, double* out) const noexcept {
-  const simd::KernelTable& kernels = simd::kernels();
-  const double* planes = crowd.planes();
-  const std::size_t stride = crowd.stride();
-  alignas(64) double lane_out[simd::kLanes];
-  for (std::size_t g = group_begin; g < group_end; ++g) {
-    const std::size_t base = g * simd::kLanes;
-    switch (metric_) {
-      case PlacementMetric::kEmd:
-        kernels.row_linear(planes, stride, base, uniform_cdf_.data(), lane_out);
-        break;
-      case PlacementMetric::kCircularEmd:
-        kernels.row_circular(planes, stride, base, uniform_cdf_.data(), lane_out);
-        break;
-      case PlacementMetric::kTotalVariation:
-        kernels.row_tv(planes, stride, base, uniform_bins_.data(), lane_out);
-        break;
-    }
-    const std::size_t lanes = live_lanes(base, crowd.size());
-    for (std::size_t l = 0; l < lanes; ++l) {
-      out[crowd.index_of_slot(base + l)] = lane_out[l];
-    }
-  }
-}
-
-void PlacementEngine::flat_flags_soa(const SoaCrowd& crowd, std::size_t group_begin,
-                                     std::size_t group_end, std::uint8_t* flags,
-                                     SoaStats& counters) const noexcept {
-  const simd::KernelTable& kernels = simd::kernels();
-  const double* planes = crowd.planes();
-  const std::size_t stride = crowd.stride();
-  simd::GroupPlacement group;
-  simd::GroupStats group_stats;
-  alignas(64) double to_uniform[simd::kLanes];
-  for (std::size_t g = group_begin; g < group_end; ++g) {
-    const std::size_t base = g * simd::kLanes;
-    switch (metric_) {
-      case PlacementMetric::kEmd:
-        kernels.place_linear(planes, stride, base, zone_cdfs_.data(), group);
-        kernels.row_linear(planes, stride, base, uniform_cdf_.data(), to_uniform);
-        group_stats.zone_groups_evaluated += kZoneCount;
-        break;
-      case PlacementMetric::kCircularEmd:
-        kernels.place_circular(planes, stride, base, zone_circ_rows_.data(), group,
-                               group_stats);
-        kernels.row_circular(planes, stride, base, uniform_cdf_.data(), to_uniform);
-        break;
-      case PlacementMetric::kTotalVariation:
-        kernels.place_tv(planes, stride, base, zone_bins_.data(), group);
-        kernels.row_tv(planes, stride, base, uniform_bins_.data(), to_uniform);
-        group_stats.zone_groups_evaluated += kZoneCount;
-        break;
-    }
-    const std::size_t lanes = live_lanes(base, crowd.size());
-    for (std::size_t l = 0; l < lanes; ++l) {
-      // nearest_distance() is the same exact minimum place() computes, so
-      // the group placement distance is the comparand bit-for-bit.
-      flags[crowd.index_of_slot(base + l)] = to_uniform[l] < group.distance[l] ? 1 : 0;
+      if (to_uniform != nullptr) to_uniform[index] = lane_uniform[l];
     }
   }
   counters.groups += group_end - group_begin;

@@ -99,22 +99,16 @@ class PlacementEngine {
   /// cache-hot, saving the caller a full re-read of `out` at crawl scale.
   /// Counts are small integers held in doubles, so accumulation (and any
   /// per-shard merge) is exact in every order.
+  ///
+  /// When `to_uniform` is non-null it must span crowd.size() entries; each
+  /// slot's distance_to_uniform() is scattered there like `out`, computed
+  /// by the row kernel in the same group loop.  The Section IV-C flat flag
+  /// is then to_uniform[i] < out[i].distance: out[i].distance is the exact
+  /// minimum nearest_distance() computes, so the flag matches the per-user
+  /// comparison bit-for-bit.
   void place_soa(const SoaCrowd& crowd, std::size_t group_begin, std::size_t group_end,
-                 UserPlacement* out, SoaStats& counters,
-                 double* zone_counts = nullptr) const noexcept;
-
-  /// distance_to_uniform() for groups of a prepared crowd, scattered to
-  /// out[crowd.index_of_slot(slot)].  No allocation.
-  void uniform_distance_soa(const SoaCrowd& crowd, std::size_t group_begin,
-                            std::size_t group_end, double* out) const noexcept;
-
-  /// The Section IV-C flat flags (distance_to_uniform < nearest_distance)
-  /// for groups of a prepared crowd, scattered to
-  /// flags[crowd.index_of_slot(slot)].  Both distances come from the same
-  /// group kernels as place_soa, so flags match the per-user comparisons
-  /// bit-for-bit.  No allocation.
-  void flat_flags_soa(const SoaCrowd& crowd, std::size_t group_begin, std::size_t group_end,
-                      std::uint8_t* flags, SoaStats& counters) const noexcept;
+                 UserPlacement* out, SoaStats& counters, double* zone_counts = nullptr,
+                 double* to_uniform = nullptr) const noexcept;
 
  private:
   /// Shared implementation of both place() overloads; the counter writes

@@ -1,11 +1,13 @@
 // Internal: one-stop flush of SoA placement batch counters.  Shared by
 // the serial and sharded crowd paths so every batch reports the same
 // inventory (lanes, vectorized prune counts, dispatch path) regardless of
-// how it was scheduled.
+// how it was scheduled.  Also the timed build and the pooled pass of an
+// SoA crowd its owner places directly (the polish and the dossier batch).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
+#include <vector>
 
 #include "core/placement_engine.hpp"
 #include "core/simd/simd.hpp"
@@ -50,5 +52,17 @@ inline void record_soa_prepare(const SoaCrowdCache::Prepare& prepare) {
     registry.observe(metrics.placement_transpose_us, prepare.transpose_us);
   }
 }
+
+/// Transposes `users` into `crowd` in the planes `engine` places from and
+/// reports the transpose as an uncached SoA preparation.
+void build_soa_crowd(SoaCrowd& crowd, const std::vector<UserProfileEntry>& users,
+                     const PlacementEngine& engine);
+
+/// One pooled place_soa pass over every group of `crowd`: each live user's
+/// placement and distance to uniform, scattered by input index.  Each
+/// chunk is flushed through record_soa_batch; crowds under the serial
+/// cutoff run as one chunk.
+void place_soa_pooled(const PlacementEngine& engine, const SoaCrowd& crowd, UserPlacement* out,
+                      double* to_uniform);
 
 }  // namespace tzgeo::core::detail

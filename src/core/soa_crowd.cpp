@@ -54,17 +54,17 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
     ++offsets[keys[i] + 1];
   }
   for (std::size_t b = 1; b <= kProfileBins; ++b) offsets[b] += offsets[b - 1];
+
+  // Column transpose, in input order: the profiles are read front to
+  // back, and each argmax bucket fills its slots consecutively, so the
+  // writes stay within 24 buckets x 24 planes of resident lines instead
+  // of gathering the profiles in slot order.
+  double column[kProfileBins];
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t s = offsets[keys[i]]++;
     slot_index_[s] = static_cast<std::uint32_t>(i);
     slot_user_[s] = users[i].user;
-  }
-
-  // Column transpose.  Consecutive slots write consecutive positions of
-  // each plane, so the working set per iteration is 24 resident lines.
-  double column[kProfileBins];
-  for (std::size_t s = 0; s < n; ++s) {
-    const double* bins = users[slot_index_[s]].profile.values().data();
+    const double* bins = users[i].profile.values().data();
     const double* src = bins;
     if (kind == Planes::kCdf) {
       stats::prefix_sums_24(bins, column);
@@ -74,13 +74,56 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
       planes_[b * stride_ + s] = src[b];
     }
   }
+  pad_tail();
+}
+
+void SoaCrowd::pad_tail() noexcept {
   // Tail pad: clone the last real column so pad lanes act as a duplicate
   // user (prune-neutral, finite, discarded by the scatter).
-  for (std::size_t s = n; s < stride_; ++s) {
-    for (std::size_t b = 0; b < kProfileBins; ++b) {
-      planes_[b * stride_ + s] = planes_[b * stride_ + (n - 1)];
+  if (size_ == 0) return;
+  for (std::size_t b = 0; b < kProfileBins; ++b) {
+    double* plane = planes_.get() + b * stride_;
+    std::fill(plane + size_, plane + stride_, plane[size_ - 1]);
+  }
+}
+
+// tzgeo: hot — runs once per polish round; compacts in place.
+void SoaCrowd::retain(std::span<const std::uint8_t> keep) noexcept {
+  std::size_t live = 0;
+  for (std::size_t s = 0; s < size_; ++s) live += keep[slot_index_[s]] != 0 ? 1 : 0;
+  const std::size_t old_stride = stride_;
+  const std::size_t new_stride = (live + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
+
+  // Plane b moves from b * old_stride to b * new_stride.  Every write lands
+  // at or below the position being read (new_stride <= old_stride and the
+  // write slot never passes the read slot), so one forward sweep compacts
+  // the planes without clobbering a column it has yet to read.  That holds
+  // for the unconditional store too: a dropped slot's value lands at the
+  // write cursor, which the next kept slot (or the tail pad, or the next
+  // plane's sweep) overwrites.
+  double* planes = planes_.get();
+  for (std::size_t b = 0; b < kProfileBins; ++b) {
+    const double* src = planes + b * old_stride;
+    double* dst = planes + b * new_stride;
+    std::size_t w = 0;
+    for (std::size_t s = 0; s < size_; ++s) {
+      dst[w] = src[s];
+      w += keep[slot_index_[s]] != 0 ? 1 : 0;
     }
   }
+  // The slot maps go last: the plane sweep above reads the old mapping.
+  std::size_t w = 0;
+  for (std::size_t s = 0; s < size_; ++s) {
+    if (keep[slot_index_[s]] == 0) continue;
+    slot_index_[w] = slot_index_[s];
+    slot_user_[w] = slot_user_[s];
+    ++w;
+  }
+  slot_index_.resize(live);
+  slot_user_.resize(live);
+  size_ = live;
+  stride_ = new_stride;
+  pad_tail();
 }
 
 SoaCrowdCache& SoaCrowdCache::global() {

@@ -28,12 +28,20 @@
 // real user's column: pad lanes then behave exactly like a duplicate of a
 // real user, so they can never block the group-consensus prune or produce
 // non-finite intermediates.  Their outputs are discarded by the scatter.
+//
+// A crowd can shrink in place: retain() compacts the surviving columns and
+// keeps each slot's original index, so outputs still scatter to the input
+// order of the crowd the planes were built from.  The Section IV-C polish
+// builds one crowd per analysis and retains the survivors of each round
+// instead of transposing them again; SoaCrowdCache serves only the
+// one-shot place_crowd / place_crowd_parallel calls.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "core/profile_builder.hpp"
@@ -53,6 +61,14 @@ class SoaCrowd {
 
   /// Transposes `users` into planes (clearing any previous content).
   void build(const std::vector<UserProfileEntry>& users, Planes kind);
+
+  /// Drops every slot s with keep[index_of_slot(s)] == 0, in place: the
+  /// live columns move down in slot order, stride() shrinks to the live
+  /// count rounded up to a whole group, and the tail is re-padded with
+  /// the last live column.  `keep` is indexed like the outputs of
+  /// PlacementEngine::place_soa (by original input index).  Allocates
+  /// nothing.
+  void retain(std::span<const std::uint8_t> keep) noexcept;
 
   [[nodiscard]] std::size_t size() const noexcept { return size_; }
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
@@ -75,6 +91,9 @@ class SoaCrowd {
     void operator()(double* p) const noexcept;
   };
 
+  /// Clones the last live column into the tail slots [size(), stride()).
+  void pad_tail() noexcept;
+
   std::unique_ptr<double[], Free> planes_;
   std::size_t capacity_ = 0;  ///< allocated doubles in planes_
   std::size_t size_ = 0;
@@ -86,9 +105,10 @@ class SoaCrowd {
 
 /// Process-wide cache of prepared SoA crowds.
 ///
-/// The polish loop and the dossier/flat-filter passes place the SAME crowd
-/// several times in a row; without a cache each pass pays the full
-/// transpose (and CDF recomputation) again.  Lookup is by the crowd
+/// Callers of place_crowd / place_crowd_parallel may place the SAME crowd
+/// several times in a row; without a cache each call pays the full
+/// transpose (and CDF recomputation) again.  The polish and the dossier
+/// batch own their crowds and do not go through the cache.  Lookup is by the crowd
 /// vector's identity (data pointer, size, plane kind) and a build
 /// generation; a hit is verified user-by-user against the stored
 /// (id, posts, profile-storage pointer) triples, which is O(n) pointer

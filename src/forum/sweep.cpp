@@ -271,9 +271,12 @@ void decode_sweep_state(util::ByteReader& reader, SweepState& state) {
   state.dump.polls_failed = static_cast<std::size_t>(reader.u64());
   state.dump.polls_partial = static_cast<std::size_t>(reader.u64());
   state.dump.threads_quarantined = static_cast<std::size_t>(reader.u64());
-  const std::uint64_t record_count = reader.u64();
-  state.dump.records.reserve(static_cast<std::size_t>(record_count));
-  for (std::uint64_t i = 0; i < record_count; ++i) {
+  // A record is at least its post and thread ids, the author's length
+  // prefix, the display-time flag and the observed instant.
+  constexpr std::size_t kMinRecordBytes = 4 * sizeof(std::uint64_t) + 1;
+  const std::size_t record_count = reader.count(kMinRecordBytes);
+  state.dump.records.reserve(record_count);
+  for (std::size_t i = 0; i < record_count; ++i) {
     ScrapeRecord record;
     record.post_id = reader.u64();
     record.thread_id = reader.u64();

@@ -243,6 +243,16 @@ std::string ByteReader::str() {
   return value;
 }
 
+std::size_t ByteReader::count(std::size_t min_element_bytes) {
+  const std::uint64_t value = u64();
+  if (min_element_bytes > 0 && value > remaining() / min_element_bytes) {
+    throw CheckpointError(CheckpointErrorCode::kTruncated,
+                          "payload claims " + std::to_string(value) + " element(s) but holds " +
+                              std::to_string(remaining()) + " byte(s)");
+  }
+  return static_cast<std::size_t>(value);
+}
+
 void write_checkpoint_file(const std::string& path, std::string_view payload,
                            std::uint32_t version) {
   std::string blob;

@@ -98,6 +98,11 @@ class ByteReader {
   [[nodiscard]] std::int64_t i64();
   [[nodiscard]] double f64();
   [[nodiscard]] std::string str();
+  /// Reads a u64 element count and checks it against the bytes left: a
+  /// count whose elements (at least `min_element_bytes` each) cannot fit
+  /// throws CheckpointError{kTruncated}, so the result is safe to size a
+  /// reservation with.
+  [[nodiscard]] std::size_t count(std::size_t min_element_bytes);
 
   [[nodiscard]] std::size_t remaining() const noexcept { return data_.size() - pos_; }
   [[nodiscard]] bool done() const noexcept { return pos_ == data_.size(); }

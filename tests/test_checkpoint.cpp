@@ -15,6 +15,7 @@
 
 #include <unistd.h>
 
+#include "forum/sweep.hpp"
 #include "util/checkpoint.hpp"
 #include "util/rng.hpp"
 
@@ -109,6 +110,47 @@ TEST(ByteCodec, ReaderThrowsOnOverrun) {
   ByteReader reader{data};
   (void)reader.u32();
   EXPECT_THROW((void)reader.u8(), CheckpointError);
+}
+
+TEST(ByteCodec, CountIsBoundedByTheBytesLeft) {
+  ByteWriter writer;
+  writer.u64(2);
+  writer.u64(10);
+  writer.u64(20);
+  const std::string data = writer.take();
+  {
+    ByteReader reader{data};
+    EXPECT_EQ(reader.count(8), 2u);  // exactly fits
+  }
+  {
+    ByteReader reader{data};
+    try {
+      (void)reader.count(9);  // 18 bytes claimed, 16 left
+      FAIL() << "count past the payload accepted";
+    } catch (const CheckpointError& error) {
+      EXPECT_EQ(error.code(), CheckpointErrorCode::kTruncated);
+    }
+  }
+}
+
+TEST(ByteCodec, SweepStateWithHugeRecordCountIsTruncated) {
+  ByteWriter writer;
+  tzgeo::forum::encode_sweep_state(writer, tzgeo::forum::SweepState{});
+  std::string data = writer.take();
+  // With no records the encoding ends in the record count.
+  ASSERT_GE(data.size(), 8u);
+  const std::uint64_t claimed = std::uint64_t{1} << 40;
+  for (std::size_t b = 0; b < 8; ++b) {
+    data[data.size() - 8 + b] = static_cast<char>((claimed >> (8 * b)) & 0xFF);
+  }
+  ByteReader reader{data};
+  tzgeo::forum::SweepState state;
+  try {
+    tzgeo::forum::decode_sweep_state(reader, state);
+    FAIL() << "2^40 records accepted";
+  } catch (const CheckpointError& error) {
+    EXPECT_EQ(error.code(), CheckpointErrorCode::kTruncated);
+  }
 }
 
 TEST(ByteCodec, CorruptStringLengthCannotWalkOffBuffer) {

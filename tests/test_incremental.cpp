@@ -231,5 +231,46 @@ TEST(IncrementalCheckpoint, RejectsCorruptPayloads) {
   }
 }
 
+/// A 12-byte geolocator payload: the version, then a user count with no
+/// users behind it.
+[[nodiscard]] std::string payload_claiming_users(std::uint64_t user_count) {
+  util::ByteWriter writer;
+  writer.u32(IncrementalGeolocator::kCheckpointVersion);
+  writer.u64(user_count);
+  return writer.take();
+}
+
+TEST(IncrementalCheckpoint, HugeUserCountIsTruncatedNotAnAllocation) {
+  for (const std::uint64_t claimed : {std::uint64_t{1} << 40, std::uint64_t{1} << 62,
+                                      ~std::uint64_t{0}}) {
+    const std::string payload = payload_claiming_users(claimed);
+    ASSERT_EQ(payload.size(), 12u);
+    IncrementalGeolocator geo{TimeZoneProfiles{canonical_shape()}};
+    try {
+      geo.restore_checkpoint(payload);
+      FAIL() << claimed << " users accepted from a 12-byte payload";
+    } catch (const util::CheckpointError& error) {
+      EXPECT_EQ(error.code(), util::CheckpointErrorCode::kTruncated) << claimed;
+    }
+  }
+}
+
+TEST(IncrementalCheckpoint, HugeCellCountIsTruncatedNotAnAllocation) {
+  util::ByteWriter writer;
+  writer.u32(IncrementalGeolocator::kCheckpointVersion);
+  writer.u64(1);                        // one user
+  writer.u64(7);                        // its id
+  writer.u64(~std::uint64_t{0});        // posts: passes the cells <= posts check
+  writer.u64(std::uint64_t{1} << 40);   // cell count with no cells behind it
+  writer.u64(0);                        // total posts
+  IncrementalGeolocator geo{TimeZoneProfiles{canonical_shape()}};
+  try {
+    geo.restore_checkpoint(writer.data());
+    FAIL() << "2^40 cells accepted";
+  } catch (const util::CheckpointError& error) {
+    EXPECT_EQ(error.code(), util::CheckpointErrorCode::kTruncated);
+  }
+}
+
 }  // namespace
 }  // namespace tzgeo::core

@@ -4,6 +4,8 @@
 // groups — and sharding across threads must never change a byte.
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <string>
 #include <vector>
 
 #include "core/parallel.hpp"
@@ -182,13 +184,117 @@ TEST(SimdPlacement, FlatFlagsMatchPerUserComparisonOnEveryPath) {
   for (const simd::Path path : kAllPaths) {
     if (!simd::set_path(path)) continue;
     SCOPED_TRACE(simd::to_string(path));
-    std::vector<std::uint8_t> flags(users.size(), 2);
+    std::vector<UserPlacement> placements(users.size());
+    std::vector<double> to_uniform(users.size(), -1.0);
     PlacementEngine::SoaStats counters;
-    engine.flat_flags_soa(crowd, 0, crowd.groups(), flags.data(), counters);
+    engine.place_soa(crowd, 0, crowd.groups(), placements.data(), counters, nullptr,
+                     to_uniform.data());
     for (std::size_t i = 0; i < users.size(); ++i) {
+      EXPECT_EQ(to_uniform[i], engine.distance_to_uniform(users[i].profile)) << "user " << i;
       const bool want = engine.distance_to_uniform(users[i].profile) <
                         engine.nearest_distance(users[i].profile);
-      EXPECT_EQ(flags[i], want ? 1 : 0) << "user " << i;
+      EXPECT_EQ(to_uniform[i] < placements[i].distance, want) << "user " << i;
+    }
+  }
+}
+
+/// Deterministic keep mask over `n` input indices with exactly `live` ones.
+[[nodiscard]] std::vector<std::uint8_t> keep_mask(std::size_t n, std::size_t live,
+                                                  std::uint64_t seed) {
+  std::vector<std::uint8_t> keep(n, 0);
+  std::fill(keep.begin(), keep.begin() + static_cast<std::ptrdiff_t>(live), 1);
+  util::Rng rng{seed};
+  for (std::size_t i = n; i > 1; --i) {
+    std::swap(keep[i - 1],
+              keep[static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(i) - 1))]);
+  }
+  return keep;
+}
+
+TEST(SoaCrowdRetain, CompactsLiveColumnsAndPadsRaggedTails) {
+  const TimeZoneProfiles zones{canonical_shape()};
+  constexpr std::size_t kSize = 3 * simd::kLanes + 3;
+  const auto users = mixed_crowd(kSize, 91, zones);
+  for (const SoaCrowd::Planes kind : {SoaCrowd::Planes::kCdf, SoaCrowd::Planes::kBins}) {
+    SoaCrowd full;
+    full.build(users, kind);
+    for (std::size_t live = 0; live <= 2 * simd::kLanes + 1; ++live) {
+      SCOPED_TRACE("live " + std::to_string(live));
+      const std::vector<std::uint8_t> keep = keep_mask(kSize, live, 100 + live);
+      SoaCrowd crowd;
+      crowd.build(users, kind);
+      crowd.retain(keep);
+      ASSERT_EQ(crowd.size(), live);
+      ASSERT_EQ(crowd.stride(), (live + simd::kLanes - 1) / simd::kLanes * simd::kLanes);
+      EXPECT_EQ(crowd.groups() * simd::kLanes, crowd.stride());
+
+      // Survivors keep the full crowd's slot order and original indices.
+      std::size_t slot = 0;
+      for (std::size_t s = 0; s < full.size(); ++s) {
+        const std::size_t index = full.index_of_slot(s);
+        if (keep[index] == 0) continue;
+        ASSERT_EQ(crowd.index_of_slot(slot), index);
+        EXPECT_EQ(crowd.user_of_slot(slot), full.user_of_slot(s));
+        for (std::size_t b = 0; b < kProfileBins; ++b) {
+          EXPECT_EQ(crowd.planes()[b * crowd.stride() + slot], full.planes()[b * full.stride() + s]);
+        }
+        ++slot;
+      }
+      // Pad lanes clone the last live column.
+      for (std::size_t b = 0; b < kProfileBins && live > 0; ++b) {
+        const double* plane = crowd.planes() + b * crowd.stride();
+        for (std::size_t s = live; s < crowd.stride(); ++s) {
+          EXPECT_EQ(plane[s], plane[live - 1]) << "plane " << b << " pad " << s;
+        }
+      }
+    }
+  }
+}
+
+TEST(SoaCrowdRetain, PlacementAfterRetainEqualsFreshBuildOfSurvivors) {
+  const TimeZoneProfiles zones{canonical_shape()};
+  const auto users = mixed_crowd(700, 23, zones);
+  PathGuard guard;
+  for (const PlacementMetric metric : kAllMetrics) {
+    const PlacementEngine engine{zones, metric};
+    for (const std::size_t live : {std::size_t{0}, std::size_t{1}, std::size_t{9},
+                                   std::size_t{350}, std::size_t{699}}) {
+      const std::vector<std::uint8_t> keep = keep_mask(users.size(), live, live);
+      std::vector<UserProfileEntry> survivors;
+      for (std::size_t i = 0; i < users.size(); ++i) {
+        if (keep[i] != 0) survivors.push_back(users[i]);
+      }
+      SoaCrowd retained;
+      retained.build(users, engine.soa_planes());
+      retained.retain(keep);
+      SoaCrowd fresh;
+      fresh.build(survivors, engine.soa_planes());
+      ASSERT_EQ(retained.size(), fresh.size());
+      for (const simd::Path path : kAllPaths) {
+        if (!simd::set_path(path)) continue;
+        SCOPED_TRACE(std::string{simd::to_string(path)} + " live " + std::to_string(live));
+        std::vector<UserPlacement> got(users.size());
+        std::vector<double> got_uniform(users.size());
+        std::vector<UserPlacement> want(survivors.size());
+        std::vector<double> want_uniform(survivors.size());
+        PlacementEngine::SoaStats counters;
+        engine.place_soa(retained, 0, retained.groups(), got.data(), counters, nullptr,
+                         got_uniform.data());
+        engine.place_soa(fresh, 0, fresh.groups(), want.data(), counters, nullptr,
+                         want_uniform.data());
+        std::size_t j = 0;
+        for (std::size_t i = 0; i < users.size(); ++i) {
+          if (keep[i] == 0) continue;
+          EXPECT_EQ(got[i].user, want[j].user);
+          EXPECT_EQ(got[i].zone_hours, want[j].zone_hours);
+          EXPECT_EQ(std::memcmp(&got[i].distance, &want[j].distance, sizeof(double)), 0);
+          EXPECT_EQ(std::memcmp(&got[i].runner_up_distance, &want[j].runner_up_distance,
+                                sizeof(double)),
+                    0);
+          EXPECT_EQ(std::memcmp(&got_uniform[i], &want_uniform[j], sizeof(double)), 0);
+          ++j;
+        }
+      }
     }
   }
 }

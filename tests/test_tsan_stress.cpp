@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "core/bootstrap.hpp"
+#include "core/geolocator.hpp"
 #include "core/ingest.hpp"
 #include "core/parallel.hpp"
 #include "core/placement.hpp"
@@ -183,6 +184,43 @@ TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
       EXPECT_EQ(parallel.users[i].zone_hours, serial.users[i].zone_hours);
       EXPECT_EQ(parallel.users[i].distance, serial.users[i].distance);
     }
+  }
+}
+
+TEST(TsanStress, ConcurrentGeolocateOnSharedPool) {
+  // Overlapping geolocate_crowd calls: each polish owns and compacts its
+  // own SoA crowd while the rounds of every caller share the global pool.
+  const TimeZoneProfiles zones = stress_zones();
+  std::vector<UserProfileEntry> crowd = stress_crowd(900, 17);
+  util::Rng rng{18};
+  for (std::size_t i = 0; i < crowd.size(); i += 4) {  // a quarter near-flat
+    std::vector<double> bins(kProfileBins, 1.0);
+    for (double& b : bins) b += rng.uniform(0.0, 0.8);
+    crowd[i].profile = HourlyProfile::from_counts(bins);
+  }
+  const GeolocationResult reference = geolocate_crowd(crowd, zones);
+  ASSERT_GT(reference.users_filtered_flat, 0u);
+
+  constexpr std::size_t kCallers = 4;
+  std::vector<GeolocationResult> results(kCallers);
+  std::vector<std::thread> callers;
+  callers.reserve(kCallers);
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&zones, &crowd, &results, c] {
+      results[c] = geolocate_crowd(crowd, zones);
+    });
+  }
+  for (auto& t : callers) t.join();
+
+  for (const GeolocationResult& result : results) {
+    EXPECT_EQ(result.users_filtered_flat, reference.users_filtered_flat);
+    ASSERT_EQ(result.placement.users.size(), reference.placement.users.size());
+    for (std::size_t i = 0; i < reference.placement.users.size(); ++i) {
+      EXPECT_EQ(result.placement.users[i].user, reference.placement.users[i].user);
+      EXPECT_EQ(result.placement.users[i].zone_hours, reference.placement.users[i].zone_hours);
+      EXPECT_EQ(result.placement.users[i].distance, reference.placement.users[i].distance);
+    }
+    EXPECT_EQ(result.placement.counts, reference.placement.counts);
   }
 }
 
