@@ -6,7 +6,6 @@
 
 #include "bench_common.hpp"
 #include "gbench_main.hpp"
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/simd/simd.hpp"
@@ -51,15 +50,6 @@ void BM_EmdCircular(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EmdCircular);
-
-void BM_EmdLinearFixed24(benchmark::State& state) {
-  const auto p = sample_profile(1);
-  const auto q = sample_profile(2);
-  for (auto _ : state) {
-    benchmark::DoNotOptimize(stats::emd_linear_24(p.data(), q.data()));
-  }
-}
-BENCHMARK(BM_EmdLinearFixed24);
 
 void BM_EmdCircularFixed24(benchmark::State& state) {
   const auto p = sample_profile(3);
@@ -118,20 +108,20 @@ void BM_PlaceCrowdParallel(benchmark::State& state) {
                      reference.zones.zone_profile(static_cast<std::int32_t>(i % 24) - 11)});
   }
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones));
+    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
   }
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_PlaceCrowdParallel)->Arg(1024)->Arg(8192);
 
 // --- SIMD group kernels ---------------------------------------------------
-// The 8-lane counterparts of BM_EmdLinearFixed24 / BM_EmdCircularCdf24:
+// The 8-lane counterparts of BM_EmdCircularCdf24:
 // items processed counts LANES, so items/s divided by the scalar bench's
 // rate is the per-distance speedup of the active dispatch path (set
 // TZGEO_SIMD to pin a path).
 
 /// A SoA crowd of noisy zone-shaped profiles for the group kernels.
-core::SoaCrowd simd_bench_crowd(std::size_t users_count, core::SoaCrowd::Planes kind) {
+core::SoaCrowd simd_bench_crowd(std::size_t users_count) {
   const bench::ReferenceProfiles reference = bench::build_reference_profiles(0.02, 1);
   util::Rng rng{17};
   std::vector<core::UserProfileEntry> users;
@@ -144,31 +134,12 @@ core::SoaCrowd simd_bench_crowd(std::size_t users_count, core::SoaCrowd::Planes 
                      core::HourlyProfile::from_counts(noisy)});
   }
   core::SoaCrowd crowd;
-  crowd.build(users, kind);
+  crowd.build(users);
   return crowd;
 }
 
-void BM_SimdRowLinear24(benchmark::State& state) {
-  const core::SoaCrowd crowd = simd_bench_crowd(256, core::SoaCrowd::Planes::kCdf);
-  const auto q = sample_profile(4);
-  alignas(64) double row_cdf[24];
-  alignas(64) double out[core::simd::kLanes];
-  stats::prefix_sums_24(q.data(), row_cdf);
-  const core::simd::KernelTable& kernels = core::simd::kernels();
-  std::size_t group = 0;
-  for (auto _ : state) {
-    kernels.row_linear(crowd.planes(), crowd.stride(), group * core::simd::kLanes, row_cdf,
-                       out);
-    benchmark::DoNotOptimize(out[0]);
-    group = (group + 1) % crowd.groups();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(core::simd::kLanes));
-}
-BENCHMARK(BM_SimdRowLinear24);
-
 void BM_SimdRowCircular24(benchmark::State& state) {
-  const core::SoaCrowd crowd = simd_bench_crowd(256, core::SoaCrowd::Planes::kCdf);
+  const core::SoaCrowd crowd = simd_bench_crowd(256);
   const auto q = sample_profile(4);
   alignas(64) double row_cdf[24];
   alignas(64) double out[core::simd::kLanes];
@@ -190,9 +161,8 @@ void BM_SimdPlaceSoaCircular(benchmark::State& state) {
   // The full SoA sweep (all 24 zones, best-first + margin prune) through
   // PlacementEngine::place_soa; items = users placed.
   const bench::ReferenceProfiles reference = bench::build_reference_profiles(0.02, 1);
-  const core::PlacementEngine engine{reference.zones, core::PlacementMetric::kCircularEmd};
-  const core::SoaCrowd crowd =
-      simd_bench_crowd(static_cast<std::size_t>(state.range(0)), engine.soa_planes());
+  const core::PlacementEngine engine{reference.zones};
+  const core::SoaCrowd crowd = simd_bench_crowd(static_cast<std::size_t>(state.range(0)));
   std::vector<core::UserPlacement> out(crowd.size());
   for (auto _ : state) {
     core::PlacementEngine::SoaStats counters;
@@ -206,15 +176,10 @@ BENCHMARK(BM_SimdPlaceSoaCircular)->Arg(8192);
 void BM_PlaceCrowd1M(benchmark::State& state) {
   // End-to-end sharded placement at crawl scale (2^20 users), measured
   // with the SoA cache warm — the steady state a polish-loop iteration
-  // sees.  Routed through place_crowd_parallel so the throughput
-  // aggregates across however many cores the host exposes (on a 1-core
-  // host it degenerates to the serial path, bit-identically).  One untimed
-  // call pays the transpose; BM_SimdPlaceSoaCircular isolates the kernels
-  // and tzgeo_placement_transpose_us tracks the cold cost.  Arg 0 selects
-  // the metric: 0 = circular EMD (the paper's headline metric, best-first
-  // + margin prune), 1 = linear EMD (dense x4-interleaved sweep).
-  const auto metric = state.range(0) == 0 ? core::PlacementMetric::kCircularEmd
-                                          : core::PlacementMetric::kEmd;
+  // sees.  place_crowd shards across however many cores the host exposes
+  // (on a 1-core host it degenerates to one batch, bit-identically).  One
+  // untimed call pays the transpose; BM_SimdPlaceSoaCircular isolates the
+  // kernels and tzgeo_placement_transpose_us tracks the cold cost.
   const bench::ReferenceProfiles reference = bench::build_reference_profiles(0.02, 1);
   util::Rng rng{29};
   constexpr std::size_t kUsers = std::size_t{1} << 20;
@@ -227,13 +192,13 @@ void BM_PlaceCrowd1M(benchmark::State& state) {
     users.push_back({static_cast<std::uint64_t>(i), 50,
                      core::HourlyProfile::from_counts(noisy)});
   }
-  benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones, metric));
+  benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
   for (auto _ : state) {
-    benchmark::DoNotOptimize(core::place_crowd_parallel(users, reference.zones, metric));
+    benchmark::DoNotOptimize(core::place_crowd(users, reference.zones));
   }
   state.SetItemsProcessed(state.iterations() * static_cast<std::int64_t>(kUsers));
 }
-BENCHMARK(BM_PlaceCrowd1M)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_PlaceCrowd1M)->Unit(benchmark::kMillisecond);
 
 void BM_GmmAuto(benchmark::State& state) {
   std::vector<double> xs(24);

@@ -12,24 +12,23 @@ namespace tzgeo::core {
 
 namespace {
 
-[[nodiscard]] UserDossier build_dossier_impl(std::uint64_t user,
-                                             const std::vector<tz::UtcSeconds>& events,
-                                             const PlacementEngine& engine,
-                                             const DossierOptions& options,
-                                             std::vector<std::int64_t>& cell_scratch) {
-  UserDossier dossier;
-  dossier.user = user;
-  dossier.posts = events.size();
-  dossier.enough_data = events.size() >= options.min_posts;
-  dossier.profile = profile_of_events(events, cell_scratch);
-
-  dossier.placement = engine.place(user, dossier.profile);
-  dossier.flat = engine.distance_to_uniform(dossier.profile) < dossier.placement.distance;
-
-  dossier.hemisphere = classify_hemisphere(events, options.hemisphere);
-  dossier.rest_days =
-      detect_rest_days(events, dossier.placement.zone_hours, options.rest_days);
-  return dossier;
+/// Places the profiled users as one SoA crowd and fills each dossier's
+/// placement and flat flag.  A crowd under the pooled pass's serial cutoff
+/// (a single dossier) is placed on the calling thread.
+void place_dossiers(std::vector<UserDossier>& dossiers,
+                    const std::vector<UserProfileEntry>& profiled,
+                    const TimeZoneProfiles& zones) {
+  if (profiled.empty()) return;
+  const PlacementEngine engine{zones};
+  SoaCrowd crowd;
+  detail::build_soa_crowd(crowd, profiled);
+  std::vector<UserPlacement> placements(profiled.size());
+  std::vector<double> to_uniform(profiled.size());
+  detail::place_soa_pooled(engine, crowd, placements.data(), to_uniform.data());
+  for (std::size_t i = 0; i < dossiers.size(); ++i) {
+    dossiers[i].placement = placements[i];
+    dossiers[i].flat = to_uniform[i] < placements[i].distance;
+  }
 }
 
 /// The event-derived verdicts of one dossier (everything except the
@@ -45,15 +44,16 @@ void finish_dossier(UserDossier& dossier, const std::vector<tz::UtcSeconds>& eve
 
 UserDossier build_dossier(std::uint64_t user, const std::vector<tz::UtcSeconds>& events,
                           const TimeZoneProfiles& zones, const DossierOptions& options) {
-  const PlacementEngine engine{zones, options.metric};
+  std::vector<UserDossier> dossiers(1);
+  UserDossier& dossier = dossiers.front();
+  dossier.user = user;
+  dossier.posts = events.size();
+  dossier.enough_data = events.size() >= options.min_posts;
   std::vector<std::int64_t> cell_scratch;
-  return build_dossier_impl(user, events, engine, options, cell_scratch);
-}
-
-UserDossier build_dossier(std::uint64_t user, const std::vector<tz::UtcSeconds>& events,
-                          const PlacementEngine& engine, const DossierOptions& options) {
-  std::vector<std::int64_t> cell_scratch;
-  return build_dossier_impl(user, events, engine, options, cell_scratch);
+  dossier.profile = profile_of_events(events, cell_scratch);
+  place_dossiers(dossiers, {UserProfileEntry{user, dossier.posts, dossier.profile}}, zones);
+  finish_dossier(dossier, events, options);
+  return std::move(dossier);
 }
 
 std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
@@ -68,7 +68,6 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
             [](const auto& a, const auto& b) { return a.second > b.second; });
   if (ranked.size() > top_k) ranked.resize(top_k);
 
-  const PlacementEngine engine{zones, options.metric};
   std::vector<UserDossier> dossiers(ranked.size());
 
   // Three passes instead of one per-user loop, so the placement work runs
@@ -77,8 +76,8 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
   //   2. placement + uniform distances (SoA batch over the whole crowd);
   //   3. event-derived verdicts, which need each user's placed zone
   //      (parallel over users).
-  // Every per-dossier value is computed by the same kernels as before, so
-  // the dossiers are bit-identical to the former single-pass loop.
+  // Per-user results are pure functions of the profile, so each dossier is
+  // bit-identical to build_dossier's one-user crowd.
   std::vector<UserProfileEntry> profiled(ranked.size());
   ThreadPool::global().for_chunks(ranked.size(), 0, [&](std::size_t begin, std::size_t end) {
     std::vector<std::int64_t> cell_scratch;  // reused across the chunk's users
@@ -92,17 +91,7 @@ std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
     }
   });
 
-  if (!profiled.empty()) {
-    SoaCrowd crowd;
-    detail::build_soa_crowd(crowd, profiled, engine);
-    std::vector<UserPlacement> placements(profiled.size());
-    std::vector<double> to_uniform(profiled.size());
-    detail::place_soa_pooled(engine, crowd, placements.data(), to_uniform.data());
-    for (std::size_t i = 0; i < dossiers.size(); ++i) {
-      dossiers[i].placement = placements[i];
-      dossiers[i].flat = to_uniform[i] < placements[i].distance;
-    }
-  }
+  place_dossiers(dossiers, profiled, zones);
 
   ThreadPool::global().for_chunks(ranked.size(), 0, [&](std::size_t begin, std::size_t end) {
     for (std::size_t i = begin; i < end; ++i) {

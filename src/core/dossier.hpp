@@ -16,7 +16,6 @@
 
 #include "core/hemisphere.hpp"
 #include "core/placement.hpp"
-#include "core/placement_engine.hpp"
 #include "core/weekly.hpp"
 
 namespace tzgeo::core {
@@ -36,28 +35,21 @@ struct UserDossier {
 /// Dossier tuning.
 struct DossierOptions {
   std::size_t min_posts = 30;
-  PlacementMetric metric = PlacementMetric::kCircularEmd;
   HemisphereOptions hemisphere{};
   RestDayOptions rest_days{};
 };
 
-/// Builds the dossier of one user from raw UTC posting instants.
+/// Builds the dossier of one user from raw UTC posting instants: the user
+/// is placed as a one-user crowd through the same group kernels as every
+/// other placement, on the calling thread.
 [[nodiscard]] UserDossier build_dossier(std::uint64_t user,
                                         const std::vector<tz::UtcSeconds>& events,
                                         const TimeZoneProfiles& zones,
                                         const DossierOptions& options = {});
 
-/// Same, against a prebuilt placement engine (batched callers construct
-/// the engine once per crowd; `options.metric` is ignored in favour of the
-/// engine's metric).
-[[nodiscard]] UserDossier build_dossier(std::uint64_t user,
-                                        const std::vector<tz::UtcSeconds>& events,
-                                        const PlacementEngine& engine,
-                                        const DossierOptions& options = {});
-
 /// Dossiers of the `top_k` most active users of a trace, most active first.
-/// Builds the placement engine once and fans the users out across the
-/// process-wide thread pool (bit-identical to the serial per-user path).
+/// Places them as one crowd and fans the per-user work out across the
+/// process-wide thread pool; each dossier equals build_dossier's.
 [[nodiscard]] std::vector<UserDossier> build_top_dossiers(const ActivityTrace& trace,
                                                           const TimeZoneProfiles& zones,
                                                           std::size_t top_k,

@@ -8,7 +8,6 @@
 #include "core/placement_engine.hpp"
 #include "core/placement_metrics.hpp"
 #include "core/soa_crowd.hpp"
-#include "obs/pipeline_metrics.hpp"
 #include "obs/trace.hpp"
 #include "stats/histogram.hpp"
 
@@ -63,8 +62,7 @@ struct PolishRun {
 /// and the placements the next generic profile is built from are the ones
 /// this round's flag pass computed on the same zones.
 [[nodiscard]] PolishRun run_polish(const std::vector<UserProfileEntry>& users,
-                                   const TimeZoneProfiles& initial_zones, PlacementMetric metric,
-                                   int max_rounds) {
+                                   const TimeZoneProfiles& initial_zones, int max_rounds) {
   PolishRun run{{}, {}, {}, {}, initial_zones, 0};
   const std::size_t n = users.size();
   run.kept.resize(n);
@@ -79,7 +77,7 @@ struct PolishRun {
   // Every round after the first removes a user or ends the polish, so at
   // most n + 1 rounds run whatever the cap.
   SoaCrowd crowd;
-  detail::build_soa_crowd(crowd, users, PlacementEngine{initial_zones, metric});
+  detail::build_soa_crowd(crowd, users);
   std::vector<std::uint8_t> keep(n, 1);
   std::vector<double> to_uniform(n);
   run.first_placements.resize(n);
@@ -92,7 +90,7 @@ struct PolishRun {
   // tzgeo: hot — per-round polish loop.  Allocation-free but for the 24
   // zone profiles of the next round's generic profile.
   for (int round = 0; round < max_rounds; ++round) {
-    const PlacementEngine engine{run.zones, metric};
+    const PlacementEngine engine{run.zones};
     UserPlacement* placements =
         round == 0 ? run.first_placements.data() : later_placements.data();
     detail::place_soa_pooled(engine, crowd, placements, to_uniform.data());
@@ -139,23 +137,22 @@ struct PolishRun {
 }  // namespace
 
 FlatFilterResult filter_flat_profiles(const std::vector<UserProfileEntry>& users,
-                                      const TimeZoneProfiles& zones, PlacementMetric metric) {
-  return split_of(users, run_polish(users, zones, metric, 1));
+                                      const TimeZoneProfiles& zones) {
+  return split_of(users, run_polish(users, zones, 1));
 }
 
 PolishResult polish_population(const std::vector<UserProfileEntry>& users,
-                               const TimeZoneProfiles& initial_zones, PlacementMetric metric,
-                               int max_rounds) {
+                               const TimeZoneProfiles& initial_zones, int max_rounds) {
   const obs::ScopedSpan filter_span("filter");
-  PolishRun run = run_polish(users, initial_zones, metric, max_rounds);
+  PolishRun run = run_polish(users, initial_zones, max_rounds);
   return PolishResult{split_of(users, run), std::move(run.zones), run.rounds};
 }
 
 PolishedPlacement polish_and_place(const std::vector<UserProfileEntry>& users,
-                                   const TimeZoneProfiles& initial_zones, PlacementMetric metric) {
+                                   const TimeZoneProfiles& initial_zones) {
   PolishRun run = [&] {
     const obs::ScopedSpan filter_span("filter");
-    return run_polish(users, initial_zones, metric, kPlacedRounds);
+    return run_polish(users, initial_zones, kPlacedRounds);
   }();
   PolishedPlacement out;
   out.removed = run.removed.size();
@@ -170,13 +167,7 @@ PolishedPlacement polish_and_place(const std::vector<UserProfileEntry>& users,
     placement.counts[bin_of_zone(user.zone_hours)] += 1.0;
   }
   placement.distribution = stats::normalize(placement.counts);
-
-  const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
-  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
-  for (std::size_t bin = 0; bin < kZoneCount; ++bin) {
-    registry.add(metrics.placement_zone[bin],
-                 static_cast<std::uint64_t>(placement.counts[bin]));
-  }
+  detail::record_zone_counts(placement.counts);
   return out;
 }
 

@@ -22,9 +22,8 @@ struct FlatFilterResult {
 };
 
 /// One filtering pass against a fixed set of zone profiles.
-[[nodiscard]] FlatFilterResult filter_flat_profiles(
-    const std::vector<UserProfileEntry>& users, const TimeZoneProfiles& zones,
-    PlacementMetric metric = PlacementMetric::kCircularEmd);
+[[nodiscard]] FlatFilterResult filter_flat_profiles(const std::vector<UserProfileEntry>& users,
+                                                   const TimeZoneProfiles& zones);
 
 /// The iterative polish: filter, rebuild the generic profile from the
 /// survivors' *placement-aligned* profiles, re-filter, until a fixpoint
@@ -36,7 +35,6 @@ struct PolishResult {
 };
 [[nodiscard]] PolishResult polish_population(const std::vector<UserProfileEntry>& users,
                                              const TimeZoneProfiles& initial_zones,
-                                             PlacementMetric metric = PlacementMetric::kCircularEmd,
                                              int max_rounds = 8);
 
 /// The polish (polish_population's default 8 rounds) followed by the crowd
@@ -48,8 +46,7 @@ struct PolishedPlacement {
   PlacementResult placement;  ///< the survivors, in input order
   std::size_t removed = 0;    ///< users filtered as flat
 };
-[[nodiscard]] PolishedPlacement polish_and_place(
-    const std::vector<UserProfileEntry>& users, const TimeZoneProfiles& initial_zones,
-    PlacementMetric metric = PlacementMetric::kCircularEmd);
+[[nodiscard]] PolishedPlacement polish_and_place(const std::vector<UserProfileEntry>& users,
+                                               const TimeZoneProfiles& initial_zones);
 
 }  // namespace tzgeo::core

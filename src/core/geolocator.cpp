@@ -5,7 +5,6 @@
 #include <limits>
 #include <stdexcept>
 
-#include "core/parallel.hpp"
 #include "obs/trace.hpp"
 #include "stats/histogram.hpp"
 
@@ -62,13 +61,13 @@ GeolocationResult geolocate_crowd(const std::vector<UserProfileEntry>& users,
   // The crowd is placed on the input zones either way.  With the flat
   // filter on, the polish's round 0 already placed every user there, so
   // the survivors keep those placements (bit-identical to placing them
-  // again); without it, the pooled placement runs on everyone.
+  // again); without it, place_crowd places everyone.
   if (options.apply_flat_filter) {
-    PolishedPlacement polished = polish_and_place(users, zones, options.metric);
+    PolishedPlacement polished = polish_and_place(users, zones);
     result.users_filtered_flat = polished.removed;
     result.placement = std::move(polished.placement);
   } else {
-    result.placement = place_crowd_parallel(users, zones, options.metric);
+    result.placement = place_crowd(users, zones);
   }
   result.users_analyzed = result.placement.users.size();
   if (result.placement.users.empty()) {

@@ -30,7 +30,6 @@ struct GeoComponent {
 
 /// Geolocation tuning.
 struct GeolocationOptions {
-  PlacementMetric metric = PlacementMetric::kCircularEmd;
   stats::GmmOptions gmm{};        ///< EM settings (sigma seed 2.5, BIC, ...)
   bool auto_components = true;    ///< BIC-select the component count
   int fixed_components = 1;       ///< used when auto_components is false

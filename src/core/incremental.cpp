@@ -4,6 +4,8 @@
 #include <limits>
 
 #include "core/activity.hpp"
+#include "core/placement_metrics.hpp"
+#include "core/soa_crowd.hpp"
 #include "obs/pipeline_metrics.hpp"
 #include "obs/stopwatch.hpp"
 #include "obs/trace.hpp"
@@ -16,7 +18,7 @@ IncrementalGeolocator::IncrementalGeolocator(TimeZoneProfiles zones,
                                              GeolocationOptions options,
                                              std::size_t min_posts)
     : zones_(std::move(zones)),
-      engine_(zones_, options.metric),
+      engine_(zones_),
       options_(options),
       min_posts_(min_posts) {}
 
@@ -50,15 +52,32 @@ void IncrementalGeolocator::compact(UserState& state) {
   state.sorted = state.cells.size();
 }
 
-void IncrementalGeolocator::refresh(std::uint64_t user, UserState& state) {
-  if (state.sorted != state.cells.size()) compact(state);
-  const HourlyProfile profile = profile_of_cells(state.cells);
+void IncrementalGeolocator::refresh(
+    const std::vector<std::pair<std::uint64_t, std::uint32_t>>& order) {
+  std::vector<UserProfileEntry> dirty;
+  std::vector<std::uint32_t> handles;
+  for (const auto& [user, handle] : order) {
+    UserState& state = states_[handle];
+    if (state.posts < min_posts_ || !state.dirty) continue;
+    if (state.sorted != state.cells.size()) compact(state);
+    dirty.push_back(UserProfileEntry{user, state.posts, profile_of_cells(state.cells)});
+    handles.push_back(handle);
+  }
+  if (dirty.empty()) return;
 
-  state.placement = engine_.place(user, profile);
-  const double to_uniform = engine_.distance_to_uniform(profile);
-  state.flat = options_.apply_flat_filter && to_uniform < state.placement.distance;
-  state.dirty = false;
-  obs::MetricsRegistry::global().add(obs::PipelineMetrics::get().incremental_refreshes);
+  SoaCrowd crowd;
+  detail::build_soa_crowd(crowd, dirty);
+  std::vector<UserPlacement> placements(dirty.size());
+  std::vector<double> to_uniform(dirty.size());
+  detail::place_soa_serial(engine_, crowd, placements.data(), to_uniform.data());
+  for (std::size_t i = 0; i < dirty.size(); ++i) {
+    UserState& state = states_[handles[i]];
+    state.placement = placements[i];
+    state.flat = options_.apply_flat_filter && to_uniform[i] < placements[i].distance;
+    state.dirty = false;
+  }
+  obs::MetricsRegistry::global().add(obs::PipelineMetrics::get().incremental_refreshes,
+                                     dirty.size());
 }
 
 std::string IncrementalGeolocator::checkpoint_payload() {
@@ -144,11 +163,11 @@ IncrementalGeolocator::Snapshot IncrementalGeolocator::estimate() {
   }
   std::sort(order.begin(), order.end());
 
+  refresh(order);
   PlacementResult placement;
-  for (const auto& [user, handle] : order) {
-    UserState& state = states_[handle];
+  for (const auto& entry : order) {
+    const UserState& state = states_[entry.second];
     if (state.posts < min_posts_) continue;
-    if (state.dirty) refresh(user, state);
     if (state.flat) {
       ++snapshot.flat_users;
       continue;

@@ -3,9 +3,10 @@
 // The monitor mode of Discussion VII produces a *stream* of observations
 // over months.  Re-running the batch pipeline after every poll is O(total
 // posts); this class keeps per-user (day, hour) cell state, re-profiles
-// and re-places only the users whose state changed since the last
-// estimate, and refits the mixture on the cached placements — so a
-// steady-state estimate costs O(changed users x 24 EMDs + one GMM fit).
+// only the users whose state changed since the last estimate, places them
+// as one SoA crowd in a single group-kernel pass, and refits the mixture on
+// the cached placements — so a steady-state estimate costs
+// O(changed users x 24 EMDs + one GMM fit).
 //
 // Differences from the batch pipeline, by construction:
 //  * the low-activity-day (holiday) filter is not applied — it needs the
@@ -18,6 +19,7 @@
 #include <cstdint>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "core/geolocator.hpp"
@@ -49,7 +51,9 @@ class IncrementalGeolocator {
     std::size_t posts = 0;                  ///< observations consumed
   };
 
-  /// Recomputes dirty users and refits; cheap when little changed.
+  /// Re-places dirty users and refits; cheap when little changed.  The
+  /// placement pass runs on the calling thread (no pool), so estimate()
+  /// may itself run on a pool worker.
   [[nodiscard]] Snapshot estimate();
 
   [[nodiscard]] std::size_t user_count() const noexcept { return ids_.size(); }
@@ -92,11 +96,12 @@ class IncrementalGeolocator {
   /// the deferred-compaction backlog gauge.
   void compact(UserState& state);
 
-  /// Re-profiles and re-places one user.
-  void refresh(std::uint64_t user, UserState& state);
+  /// Re-profiles and re-places the dirty active users (`order` holds
+  /// (id, handle) pairs) in one SoA crowd.
+  void refresh(const std::vector<std::pair<std::uint64_t, std::uint32_t>>& order);
 
   TimeZoneProfiles zones_;
-  PlacementEngine engine_;  ///< built once; reused by every refresh
+  PlacementEngine engine_;  ///< built once; reused by every estimate
   GeolocationOptions options_;
   std::size_t min_posts_;
   util::HandleTable ids_;          ///< user id -> dense handle

@@ -17,14 +17,14 @@ namespace tzgeo::core {
 
 /// Distance used to match a user profile against the 24 zone profiles.
 ///
-/// The default is the circular EMD: hour profiles live on a 24-hour circle,
-/// and the paper's placement explicitly allows "shifting and moving
-/// probability mass" across midnight.  A linear-axis EMD mis-places crowds
-/// whose evening peak crosses UTC midnight (e.g. the Americas) — kept as an
-/// ablation (see bench/ablation_design).
+/// The pipeline places under circular EMD only: hour profiles live on a
+/// 24-hour circle, and the paper's placement explicitly allows "shifting
+/// and moving probability mass" across midnight.  The other two metrics
+/// exist for ablation A (bench/ablation_design) and are accepted only by
+/// place_crowd and placement_distance.
 enum class PlacementMetric : std::uint8_t {
   kEmd,          ///< linear-axis EMD (ablation: breaks at the midnight wrap)
-  kCircularEmd,  ///< circular EMD (default)
+  kCircularEmd,  ///< circular EMD (the pipeline's metric)
   kTotalVariation,  ///< bin-wise L1/2 (ablation; ignores ground distance)
 };
 
@@ -50,13 +50,19 @@ struct PlacementResult {
   std::vector<double> distribution;
 };
 
-/// Places every profiled user on its nearest time zone.
+/// Places every profiled user on its nearest time zone; ties go to the
+/// first zone bin.  Under circular EMD the crowd is transposed once (and
+/// cached, see SoaCrowdCache) and placed by one pass of the group kernels
+/// across the process-wide thread pool, bit-identical to placing each user
+/// alone.  The ablation metrics run a plain exhaustive scan of
+/// placement_distance over the 24 zones.
 [[nodiscard]] PlacementResult place_crowd(const std::vector<UserProfileEntry>& users,
                                           const TimeZoneProfiles& zones,
                                           PlacementMetric metric = PlacementMetric::kCircularEmd);
 
-/// Distance between a profile and one zone profile under `metric`
-/// (exposed for the flat filter and tests).
+/// Distance between a profile and one zone profile under `metric`: the
+/// fixed-24 circular kernel for circular EMD (bit-identical to the group
+/// kernels), the validating span functions of stats/emd.hpp otherwise.
 [[nodiscard]] double placement_distance(const HourlyProfile& profile,
                                         const HourlyProfile& zone_profile,
                                         PlacementMetric metric);

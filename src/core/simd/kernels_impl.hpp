@@ -1,4 +1,4 @@
-// Generic group kernels, instantiated once per dispatch path.
+// Generic circular-EMD group kernels, instantiated once per dispatch path.
 //
 // Every backend (scalar, AVX2, AVX-512, NEON) includes this header and
 // instantiates the templates below with its own lane-abstraction type V.
@@ -7,16 +7,15 @@
 // how many hardware registers carry the kLanes lanes — and the arithmetic
 // is limited to add/sub/min/max/abs/compare/blend, which are exact (no
 // reassociation, no FMA contraction), so lane l of a group kernel
-// produces exactly the bits of the scalar per-user kernels in
+// produces exactly the bits of the scalar circular kernels in
 // stats/emd.hpp run on user l.
 //
 // Zone-level SCHEDULING, by contrast, is free: which zones get evaluated
 // in which order only has to preserve the final (distance, runner-up,
-// zone) triple.  The circular kernel exploits that with best-bound-first
-// evaluation and a margin prune (see place_circular below); the linear
-// and TV kernels process zones in blocks of four with independent
-// accumulator chains so the 24-add serial dependence of one zone no
-// longer bounds throughput.  Per-zone arithmetic order never changes.
+// zone) triple.  place_circular exploits that with best-bound-first
+// evaluation and a margin prune; per-zone arithmetic order never changes.
+// row_circular is the same exact evaluation against one row (the Section
+// IV-C uniform profile).
 //
 // The V concept (see vec_scalar.hpp for the reference model):
 //   using Reg  — kLanes doubles
@@ -26,7 +25,6 @@
 //   add, sub, min, max, abs          lane-wise; min/max match `a < b ? a : b`
 //                                    / `a > b ? a : b` (the ?: forms the
 //                                    scalar kernels compile to)
-//   mul_half(r)                      lane-wise r * 0.5 (exact: power of two)
 //   lt(a, b), ge(a, b)               lane-wise compares producing a Mask
 //   blend(a, b, m)                   lane-wise m ? b : a
 //   andnot(m, n)                     lane-wise !m && n
@@ -78,8 +76,8 @@ inline constexpr double kPruneMargin = 1e-12;
   return planes + bin * stride + base;
 }
 
-/// The scalar nearest/runner-up update of PlacementEngine::place_impl,
-/// lane-wise:
+/// The per-user nearest/runner-up update (strict <, so the first bin
+/// attaining the minimum wins), lane-wise:
 ///   if (d < dist)        { runner = dist; dist = d; zone = bin; }
 ///   else if (d < runner) { runner = d; }
 template <class V>
@@ -92,34 +90,6 @@ inline void update_best(typename V::Reg& dist, typename V::Reg& runner,
   runner = V::blend(runner, d, is_runner);
   dist = V::blend(dist, d, is_best);
   zone = V::blend(zone, bin, is_best);
-}
-
-/// Linear EMD of the group against one zone row: work = sum_i |P_i - Q_i|,
-/// accumulated in bin order exactly like stats::emd_linear_cdf_24.
-template <class V>
-[[nodiscard]] inline typename V::Reg row_work_linear(const double* planes, std::size_t stride,
-                                                     std::size_t base,
-                                                     const double* row_cdf) noexcept {
-  typename V::Reg work = V::zero();
-  for (std::size_t i = 0; i < kProfileBins; ++i) {
-    work = V::add(work, V::abs(V::sub(V::load(plane(planes, stride, base, i)),
-                                      V::broadcast(row_cdf[i]))));
-  }
-  return work;
-}
-
-/// Total variation of the group against one zone row, accumulated like
-/// stats::total_variation_24 (sum first, halved once at the end).
-template <class V>
-[[nodiscard]] inline typename V::Reg row_work_tv(const double* planes, std::size_t stride,
-                                                 std::size_t base,
-                                                 const double* row_bins) noexcept {
-  typename V::Reg sum = V::zero();
-  for (std::size_t i = 0; i < kProfileBins; ++i) {
-    sum = V::add(sum, V::abs(V::sub(V::load(plane(planes, stride, base, i)),
-                                    V::broadcast(row_bins[i]))));
-  }
-  return V::mul_half(sum);
 }
 
 /// Lane-wise branchless compare-exchange: (a, b) <- (min, max), with the
@@ -206,36 +176,7 @@ inline void eval_work2(const double* planes, std::size_t stride, std::size_t bas
 
 // --- The KernelTable entry points -----------------------------------------
 
-static_assert(kZoneCount % 4 == 0, "the x4 zone blocks below assume it");
-
-template <class V>
-// tzgeo: hot
-void place_linear(const double* planes, std::size_t stride, std::size_t base,
-                  const double* zone_cdfs, GroupPlacement& out) noexcept {
-  typename V::Reg dist = V::broadcast(kInf);
-  typename V::Reg runner = V::broadcast(kInf);
-  typename V::Reg zone = V::zero();
-  // Four zones per block share each plane load and carry independent
-  // accumulator chains; the per-zone sums still add terms in bin order,
-  // so every work value is bit-identical to row_work_linear's.
-  for (std::size_t bin = 0; bin < kZoneCount; bin += 4) {
-    const double* row0 = zone_cdfs + bin * kProfileBins;
-    typename V::Reg w[4] = {V::zero(), V::zero(), V::zero(), V::zero()};
-    for (std::size_t i = 0; i < kProfileBins; ++i) {
-      const typename V::Reg p = V::load(plane(planes, stride, base, i));
-      w[0] = V::add(w[0], V::abs(V::sub(p, V::broadcast(row0[i]))));
-      w[1] = V::add(w[1], V::abs(V::sub(p, V::broadcast(row0[i + kProfileBins]))));
-      w[2] = V::add(w[2], V::abs(V::sub(p, V::broadcast(row0[i + 2 * kProfileBins]))));
-      w[3] = V::add(w[3], V::abs(V::sub(p, V::broadcast(row0[i + 3 * kProfileBins]))));
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      update_best<V>(dist, runner, zone, w[k], V::broadcast(static_cast<double>(bin + k)));
-    }
-  }
-  V::store(out.distance, dist);
-  V::store(out.runner_up, runner);
-  V::store(out.zone_bin, zone);
-}
+static_assert(kZoneCount % 4 == 0, "the x4 bound blocks below assume it");
 
 /// Circular EMD with best-bound-first evaluation and the margin prune.
 ///
@@ -382,58 +323,15 @@ void place_circular(const double* planes, std::size_t stride, std::size_t base,
 
 template <class V>
 // tzgeo: hot
-void place_tv(const double* planes, std::size_t stride, std::size_t base,
-              const double* zone_bins, GroupPlacement& out) noexcept {
-  typename V::Reg dist = V::broadcast(kInf);
-  typename V::Reg runner = V::broadcast(kInf);
-  typename V::Reg zone = V::zero();
-  // Same x4 block structure as place_linear; the halving stays per-zone.
-  for (std::size_t bin = 0; bin < kZoneCount; bin += 4) {
-    const double* row0 = zone_bins + bin * kProfileBins;
-    typename V::Reg w[4] = {V::zero(), V::zero(), V::zero(), V::zero()};
-    for (std::size_t i = 0; i < kProfileBins; ++i) {
-      const typename V::Reg p = V::load(plane(planes, stride, base, i));
-      w[0] = V::add(w[0], V::abs(V::sub(p, V::broadcast(row0[i]))));
-      w[1] = V::add(w[1], V::abs(V::sub(p, V::broadcast(row0[i + kProfileBins]))));
-      w[2] = V::add(w[2], V::abs(V::sub(p, V::broadcast(row0[i + 2 * kProfileBins]))));
-      w[3] = V::add(w[3], V::abs(V::sub(p, V::broadcast(row0[i + 3 * kProfileBins]))));
-    }
-    for (std::size_t k = 0; k < 4; ++k) {
-      update_best<V>(dist, runner, zone, V::mul_half(w[k]),
-                     V::broadcast(static_cast<double>(bin + k)));
-    }
-  }
-  V::store(out.distance, dist);
-  V::store(out.runner_up, runner);
-  V::store(out.zone_bin, zone);
-}
-
-template <class V>
-// tzgeo: hot
-void row_linear(const double* planes, std::size_t stride, std::size_t base,
-                const double* row_cdf, double* out) noexcept {
-  V::store(out, row_work_linear<V>(planes, stride, base, row_cdf));
-}
-
-template <class V>
-// tzgeo: hot
 void row_circular(const double* planes, std::size_t stride, std::size_t base,
                   const double* row_cdf, double* out) noexcept {
   V::store(out, eval_work<V>(planes, stride, base, row_cdf));
 }
 
-template <class V>
-// tzgeo: hot
-void row_tv(const double* planes, std::size_t stride, std::size_t base,
-            const double* row_bins, double* out) noexcept {
-  V::store(out, row_work_tv<V>(planes, stride, base, row_bins));
-}
-
 /// The full table of one backend.
 template <class V>
 [[nodiscard]] constexpr KernelTable make_table() noexcept {
-  return KernelTable{&place_linear<V>,   &place_circular<V>, &place_tv<V>,
-                     &row_linear<V>,     &row_circular<V>,   &row_tv<V>};
+  return KernelTable{&place_circular<V>, &row_circular<V>};
 }
 
 }  // namespace tzgeo::core::simd::impl

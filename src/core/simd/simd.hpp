@@ -77,31 +77,20 @@ struct GroupStats {
   std::uint64_t zone_groups_evaluated = 0;  ///< exact sorting-network runs
 };
 
-/// The vector kernels of one dispatch path.  `planes` is the SoA store
-/// (CDF planes for the EMD kernels, raw-bin planes for total variation):
-/// plane b starts at planes + b * stride, and a group's lane 0 sits at
-/// offset `base` (a multiple of kLanes, so loads are aligned).  Zone rows
-/// are the engine's row-major kZoneCount x kProfileBins matrices.
+/// The circular-EMD kernels of one dispatch path.  `planes` is the SoA
+/// store of user CDFs: plane b starts at planes + b * stride, and a
+/// group's lane 0 sits at offset `base` (a multiple of kLanes, so loads
+/// are aligned).
 struct KernelTable {
-  /// Linear EMD of each lane against all zones (no pruning, like scalar).
-  void (*place_linear)(const double* planes, std::size_t stride, std::size_t base,
-                       const double* zone_cdfs, GroupPlacement& out);
-  /// Circular EMD with best-bound-first evaluation and the whole-group
-  /// margin prune.  `zone_rows` uses kCircularZoneRowPitch (CDF row plus
-  /// precomputed pair differences), NOT the plain 24-wide CDF matrix, and
+  /// Nearest and runner-up zone of each lane, with best-bound-first
+  /// evaluation and the whole-group margin prune.  `zone_rows` uses
+  /// kCircularZoneRowPitch (CDF row plus precomputed pair differences) and
   /// carries the zone-pair distance matrix at kCircularZonePairOffset.
   void (*place_circular)(const double* planes, std::size_t stride, std::size_t base,
                          const double* zone_rows, GroupPlacement& out, GroupStats& stats);
-  /// Total variation of each lane against all zones.
-  void (*place_tv)(const double* planes, std::size_t stride, std::size_t base,
-                   const double* zone_bins, GroupPlacement& out);
-  /// Distance of each lane to one row (the Section IV-C uniform test).
-  void (*row_linear)(const double* planes, std::size_t stride, std::size_t base,
-                     const double* row_cdf, double* out);
+  /// Distance of each lane to one CDF row (the Section IV-C uniform test).
   void (*row_circular)(const double* planes, std::size_t stride, std::size_t base,
                        const double* row_cdf, double* out);
-  void (*row_tv)(const double* planes, std::size_t stride, std::size_t base,
-                 const double* row_bins, double* out);
 };
 
 /// The active path's kernel table (one relaxed atomic load; fetch once per

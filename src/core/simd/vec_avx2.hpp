@@ -60,10 +60,6 @@ struct VecAvx2 {
     const __m256d sign = _mm256_set1_pd(-0.0);
     return {_mm256_andnot_pd(sign, a.lo), _mm256_andnot_pd(sign, a.hi)};
   }
-  [[nodiscard]] static Reg mul_half(Reg a) noexcept {
-    const __m256d half = _mm256_set1_pd(0.5);
-    return {_mm256_mul_pd(a.lo, half), _mm256_mul_pd(a.hi, half)};
-  }
 
   [[nodiscard]] static Mask lt(Reg a, Reg b) noexcept {
     return {_mm256_cmp_pd(a.lo, b.lo, _CMP_LT_OQ), _mm256_cmp_pd(a.hi, b.hi, _CMP_LT_OQ)};

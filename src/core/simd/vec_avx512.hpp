@@ -39,9 +39,6 @@ struct VecAvx512 {
   [[nodiscard]] static Reg min(Reg a, Reg b) noexcept { return _mm512_min_pd(a, b); }
   [[nodiscard]] static Reg max(Reg a, Reg b) noexcept { return _mm512_max_pd(a, b); }
   [[nodiscard]] static Reg abs(Reg a) noexcept { return _mm512_abs_pd(a); }
-  [[nodiscard]] static Reg mul_half(Reg a) noexcept {
-    return _mm512_mul_pd(a, _mm512_set1_pd(0.5));
-  }
 
   [[nodiscard]] static Mask lt(Reg a, Reg b) noexcept {
     return _mm512_cmp_pd_mask(a, b, _CMP_LT_OQ);

@@ -60,11 +60,6 @@ struct VecNeon {
   [[nodiscard]] static Reg abs(Reg a) noexcept {
     return {{vabsq_f64(a.q[0]), vabsq_f64(a.q[1]), vabsq_f64(a.q[2]), vabsq_f64(a.q[3])}};
   }
-  [[nodiscard]] static Reg mul_half(Reg a) noexcept {
-    const float64x2_t half = vdupq_n_f64(0.5);
-    return {{vmulq_f64(a.q[0], half), vmulq_f64(a.q[1], half), vmulq_f64(a.q[2], half),
-             vmulq_f64(a.q[3], half)}};
-  }
 
   [[nodiscard]] static Mask lt(Reg a, Reg b) noexcept {
     return {{vcltq_f64(a.q[0], b.q[0]), vcltq_f64(a.q[1], b.q[1]), vcltq_f64(a.q[2], b.q[2]),

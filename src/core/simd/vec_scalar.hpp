@@ -64,11 +64,6 @@ struct VecScalar {
     for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = std::abs(a.v[l]);
     return r;
   }
-  [[nodiscard]] static Reg mul_half(Reg a) noexcept {
-    Reg r;
-    for (std::size_t l = 0; l < kLanes; ++l) r.v[l] = 0.5 * a.v[l];
-    return r;
-  }
 
   [[nodiscard]] static Mask lt(Reg a, Reg b) noexcept {
     Mask r;

@@ -29,10 +29,9 @@ void SoaCrowd::Free::operator()(double* p) const noexcept {
   ::operator delete[](p, std::align_val_t{kPlaneAlign});
 }
 
-void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
+void SoaCrowd::build(const std::vector<UserProfileEntry>& users) {
   const std::size_t n = users.size();
   size_ = n;
-  kind_ = kind;
   stride_ = (n + simd::kLanes - 1) / simd::kLanes * simd::kLanes;
   slot_index_.resize(n);
   slot_user_.resize(n);
@@ -64,14 +63,9 @@ void SoaCrowd::build(const std::vector<UserProfileEntry>& users, Planes kind) {
     const std::size_t s = offsets[keys[i]]++;
     slot_index_[s] = static_cast<std::uint32_t>(i);
     slot_user_[s] = users[i].user;
-    const double* bins = users[i].profile.values().data();
-    const double* src = bins;
-    if (kind == Planes::kCdf) {
-      stats::prefix_sums_24(bins, column);
-      src = column;
-    }
+    stats::prefix_sums_24(users[i].profile.values().data(), column);
     for (std::size_t b = 0; b < kProfileBins; ++b) {
-      planes_[b * stride_ + s] = src[b];
+      planes_[b * stride_ + s] = column[b];
     }
   }
   pad_tail();
@@ -132,10 +126,9 @@ SoaCrowdCache& SoaCrowdCache::global() {
 }
 
 bool SoaCrowdCache::matches(const Entry& entry, const std::vector<UserProfileEntry>& users,
-                            SoaCrowd::Planes kind, std::uint64_t generation) noexcept {
+                            std::uint64_t generation) noexcept {
   if (entry.crowd == nullptr || entry.generation != generation) return false;
-  if (entry.data != static_cast<const void*>(users.data()) || entry.size != users.size() ||
-      entry.kind != kind) {
+  if (entry.data != static_cast<const void*>(users.data()) || entry.size != users.size()) {
     return false;
   }
   for (std::size_t i = 0; i < users.size(); ++i) {
@@ -148,31 +141,28 @@ bool SoaCrowdCache::matches(const Entry& entry, const std::vector<UserProfileEnt
 }
 
 std::shared_ptr<const SoaCrowd> SoaCrowdCache::get(const std::vector<UserProfileEntry>& users,
-                                                   SoaCrowd::Planes kind, Prepare* prepare) {
+                                                   Prepare* prepare) {
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     for (Entry& entry : entries_) {
-      if (matches(entry, users, kind, generation_)) {
+      if (matches(entry, users, generation_)) {
         entry.last_used = ++tick_;
-        ++hits_;
         if (prepare != nullptr) *prepare = Prepare{true, 0};
         return entry.crowd;
       }
     }
-    ++misses_;
   }
 
   // Build outside the lock: transposes are the expensive part and two
   // threads preparing different crowds must not serialize each other.
   const obs::Stopwatch watch;
   auto crowd = std::make_shared<SoaCrowd>();
-  crowd->build(users, kind);
+  crowd->build(users);
   if (prepare != nullptr) *prepare = Prepare{false, watch.elapsed_us()};
 
   Entry fresh;
   fresh.data = users.data();
   fresh.size = users.size();
-  fresh.kind = kind;
   fresh.user_ids.reserve(users.size());
   fresh.user_posts.reserve(users.size());
   fresh.profile_data.reserve(users.size());
@@ -201,16 +191,6 @@ std::shared_ptr<const SoaCrowd> SoaCrowdCache::get(const std::vector<UserProfile
 void SoaCrowdCache::invalidate_all() noexcept {
   const std::lock_guard<std::mutex> lock(mutex_);
   ++generation_;
-}
-
-std::uint64_t SoaCrowdCache::hits() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return hits_;
-}
-
-std::uint64_t SoaCrowdCache::misses() const noexcept {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return misses_;
 }
 
 }  // namespace tzgeo::core

@@ -1,14 +1,13 @@
 // Structure-of-arrays crowd storage for the vectorized placement kernels.
 //
-// The engine's per-user loop reads one HourlyProfile at a time — an
-// array-of-structures layout where the 24 bins of one user are contiguous
-// but lane-parallel kernels want the OPPOSITE: bin b of 8 consecutive
-// users in one aligned load.  SoaCrowd is that transpose: 24 contiguous
-// planes (one per bin index) of `stride` doubles each, where column s
-// holds user slot s.  For the EMD metrics the planes hold each user's
-// prefix sums (CDF), computed once here and reused across all 24 zone
-// comparisons AND across calls (see SoaCrowdCache); for total variation
-// they hold the raw bins.
+// A crowd arrives as one HourlyProfile per user — an array-of-structures
+// layout where the 24 bins of one user are contiguous — but lane-parallel
+// kernels want the OPPOSITE: bin b of 8 consecutive users in one aligned
+// load.  SoaCrowd is that transpose: 24 contiguous planes (one per bin
+// index) of `stride` doubles each, where column s holds user slot s.  The
+// planes hold each user's prefix sums (CDF), the input of the circular-EMD
+// kernels, computed once here and reused across all 24 zone comparisons
+// AND across calls (see SoaCrowdCache).
 //
 //     plane 0   [ u0 u1 u2 u3 u4 u5 u6 u7 | u8 ... pad ]   <- cdf bin 0
 //     plane 1   [ u0 u1 u2 u3 u4 u5 u6 u7 | u8 ... pad ]   <- cdf bin 1
@@ -34,7 +33,7 @@
 // order of the crowd the planes were built from.  The Section IV-C polish
 // builds one crowd per analysis and retains the survivors of each round
 // instead of transposing them again; SoaCrowdCache serves only the
-// one-shot place_crowd / place_crowd_parallel calls.
+// one-shot place_crowd calls.
 #pragma once
 
 #include <cstddef>
@@ -51,16 +50,11 @@ namespace tzgeo::core {
 
 class SoaCrowd {
  public:
-  /// What the 24 planes hold.
-  enum class Planes : std::uint8_t {
-    kCdf,   ///< inclusive prefix sums — the EMD kernels' input
-    kBins,  ///< raw bin values — the total-variation kernel's input
-  };
-
   SoaCrowd() = default;
 
-  /// Transposes `users` into planes (clearing any previous content).
-  void build(const std::vector<UserProfileEntry>& users, Planes kind);
+  /// Transposes the CDFs of `users` into planes (clearing any previous
+  /// content).
+  void build(const std::vector<UserProfileEntry>& users);
 
   /// Drops every slot s with keep[index_of_slot(s)] == 0, in place: the
   /// live columns move down in slot order, stride() shrinks to the live
@@ -76,7 +70,6 @@ class SoaCrowd {
   [[nodiscard]] std::size_t stride() const noexcept { return stride_; }
   /// Whole kLanes-wide groups covering every slot.
   [[nodiscard]] std::size_t groups() const noexcept { return stride_ / simd::kLanes; }
-  [[nodiscard]] Planes kind() const noexcept { return kind_; }
 
   /// Plane base pointer (plane b starts at planes() + b * stride()).
   [[nodiscard]] const double* planes() const noexcept { return planes_.get(); }
@@ -98,18 +91,17 @@ class SoaCrowd {
   std::size_t capacity_ = 0;  ///< allocated doubles in planes_
   std::size_t size_ = 0;
   std::size_t stride_ = 0;
-  Planes kind_ = Planes::kCdf;
   std::vector<std::uint32_t> slot_index_;  ///< slot -> original index
   std::vector<std::uint64_t> slot_user_;   ///< slot -> user id
 };
 
 /// Process-wide cache of prepared SoA crowds.
 ///
-/// Callers of place_crowd / place_crowd_parallel may place the SAME crowd
+/// Callers of place_crowd may place the SAME crowd
 /// several times in a row; without a cache each call pays the full
 /// transpose (and CDF recomputation) again.  The polish and the dossier
-/// batch own their crowds and do not go through the cache.  Lookup is by the crowd
-/// vector's identity (data pointer, size, plane kind) and a build
+/// batch own their crowds and do not go through the cache.  Lookup is by
+/// the crowd vector's identity (data pointer and size) and a build
 /// generation; a hit is verified user-by-user against the stored
 /// (id, posts, profile-storage pointer) triples, which is O(n) pointer
 /// compares instead of O(24 n) doubles.  HourlyProfile is immutable after
@@ -132,19 +124,14 @@ class SoaCrowdCache {
 
   /// The prepared crowd for `users`, built on miss.
   [[nodiscard]] std::shared_ptr<const SoaCrowd> get(const std::vector<UserProfileEntry>& users,
-                                                    SoaCrowd::Planes kind,
                                                     Prepare* prepare = nullptr);
 
   void invalidate_all() noexcept;
-
-  [[nodiscard]] std::uint64_t hits() const noexcept;
-  [[nodiscard]] std::uint64_t misses() const noexcept;
 
  private:
   struct Entry {
     const void* data = nullptr;  ///< users.data() at build time
     std::size_t size = 0;
-    SoaCrowd::Planes kind = SoaCrowd::Planes::kCdf;
     std::uint64_t generation = 0;
     std::uint64_t last_used = 0;  ///< LRU tick
     std::vector<std::uint64_t> user_ids;
@@ -155,7 +142,7 @@ class SoaCrowdCache {
 
   [[nodiscard]] static bool matches(const Entry& entry,
                                     const std::vector<UserProfileEntry>& users,
-                                    SoaCrowd::Planes kind, std::uint64_t generation) noexcept;
+                                    std::uint64_t generation) noexcept;
 
   static constexpr std::size_t kSlots = 4;
 
@@ -163,8 +150,6 @@ class SoaCrowdCache {
   Entry entries_[kSlots];
   std::uint64_t generation_ = 0;
   std::uint64_t tick_ = 0;
-  std::uint64_t hits_ = 0;
-  std::uint64_t misses_ = 0;
 };
 
 }  // namespace tzgeo::core

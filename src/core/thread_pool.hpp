@@ -1,6 +1,6 @@
 // A persistent pool of worker threads executing chunked index ranges.
 //
-// place_crowd_parallel used to spawn and join fresh std::threads on every
+// Parallel placement used to spawn and join fresh std::threads on every
 // invocation; at production call rates (polish rounds, bootstrap refits,
 // per-forum investigations, dossier batches) thread start-up dominated the
 // actual work.  The pool parks its workers on a condition variable between

@@ -25,10 +25,6 @@ namespace {
   m.placement_batches = reg.counter("tzgeo_placement_batches_total", "placement batches");
   m.placement_users = reg.counter("tzgeo_placement_users_total", "user profiles placed");
   m.placement_batch_us = reg.histogram("tzgeo_placement_batch_us", "batch wall time");
-  m.placement_zones_pruned = reg.counter("tzgeo_placement_zones_pruned_total",
-                                         "zone evaluations skipped by the EMD lower bound");
-  m.placement_zones_evaluated = reg.counter("tzgeo_placement_zones_evaluated_total",
-                                            "zone evaluations run exactly");
   for (std::size_t bin = 0; bin < m.placement_zone.size(); ++bin) {
     // Same mapping as core::zone_of_bin (obs sits below core in the link
     // order, so it cannot call the throwing helper in tzgeo_core).
@@ -48,7 +44,6 @@ namespace {
   m.placement_zones_evaluated_vectorized =
       reg.counter("tzgeo_placement_zones_evaluated_vectorized_total",
                   "zone evaluations run by the group kernels (lane units)");
-  m.placement_shards = reg.counter("tzgeo_placement_shards_total", "SoA shard batches run");
   m.placement_transpose_us =
       reg.histogram("tzgeo_placement_transpose_us", "SoA transpose build wall time");
   m.placement_soa_cache_hits =

@@ -32,15 +32,12 @@ struct PipelineMetrics {
   MetricId placement_batches = kInvalidMetric;
   MetricId placement_users = kInvalidMetric;
   MetricId placement_batch_us = kInvalidMetric;
-  MetricId placement_zones_pruned = kInvalidMetric;
-  MetricId placement_zones_evaluated = kInvalidMetric;
   std::array<MetricId, kZoneCount> placement_zone{};  ///< per-zone placements
 
   // placement, SoA/SIMD path
   MetricId placement_simd_lanes = kInvalidMetric;  ///< lane-slots processed
   MetricId placement_zones_pruned_vectorized = kInvalidMetric;
   MetricId placement_zones_evaluated_vectorized = kInvalidMetric;
-  MetricId placement_shards = kInvalidMetric;        ///< SoA shard batches run
   MetricId placement_transpose_us = kInvalidMetric;  ///< SoA build wall time
   MetricId placement_soa_cache_hits = kInvalidMetric;
   MetricId placement_soa_cache_misses = kInvalidMetric;

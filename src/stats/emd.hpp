@@ -18,13 +18,15 @@
 // Placement hot path: the general span functions above validate their
 // inputs and (for the circular variant) allocate two scratch vectors per
 // call.  Placing one user costs 24 EMDs, so a crowd of N users pays ~50 N
-// allocations.  The fixed-width 24-bin kernels below are the
+// allocations.  The fixed-width 24-bin circular kernels below are the
 // zero-allocation alternative: they skip validation (profiles are
 // normalized by construction), work on caller-provided storage, and factor
 // through CDFs so a batched caller can compute each profile's prefix sums
 // once and reuse them across all 24 zone comparisons (the Werman–Peleg–
-// Rosenfeld factorization).  All placement paths share these kernels, which
-// is what makes serial, batched, and pooled placement bit-identical.
+// Rosenfeld factorization).  The SIMD group kernels in core/simd run the
+// same operation sequence lane by lane, so these kernels are the scalar
+// reference every placement is bit-identical to.  The ablation metrics
+// (linear EMD, total variation) use the span functions.
 #pragma once
 
 #include <algorithm>
@@ -63,16 +65,6 @@ inline void prefix_sums_24(const double* p, double* cdf) noexcept {
     run += p[i];
     cdf[i] = run;
   }
-}
-
-/// Linear EMD from precomputed CDFs: sum_i |P_i - Q_i|.
-[[nodiscard]] inline double emd_linear_cdf_24(const double* cdf_p,
-                                              const double* cdf_q) noexcept {
-  double work = 0.0;
-  for (std::size_t i = 0; i < kEmdFixedBins; ++i) {
-    work += std::abs(cdf_p[i] - cdf_q[i]);
-  }
-  return work;
 }
 
 namespace detail {
@@ -157,8 +149,8 @@ inline void cdf_diff_24(const double* cdf_p, const double* cdf_q, double* diff) 
 /// Cheap lower bound on the circular work of a prefix-difference sequence:
 /// for the median m and any disjoint pairing, |D_i - m| + |D_j - m| >=
 /// |D_i - D_j|, so twelve fixed pairs bound sum |D_i - m| from below.
-/// Placement uses it to skip the exact evaluation of zones that cannot
-/// beat the current runner-up.
+/// The group placement kernel prunes zones with this bound (in its
+/// hoisted pair-difference form); this is its scalar reference.
 [[nodiscard]] inline double circular_work_lower_bound_24(const double* diff) noexcept {
   double bound = 0.0;
   for (std::size_t i = 0; i < kEmdFixedBins / 2; ++i) {
@@ -168,7 +160,7 @@ inline void cdf_diff_24(const double* cdf_p, const double* cdf_q, double* diff) 
 }
 
 /// Fused cdf_diff_24 + circular_work_lower_bound_24: fills `diff` and
-/// returns the pair bound in a single pass (the placement inner loop).
+/// returns the pair bound in a single pass.
 [[nodiscard]] inline double cdf_diff_bound_24(const double* cdf_p, const double* cdf_q,
                                               double* diff) noexcept {
   double bound = 0.0;
@@ -205,24 +197,7 @@ inline void cdf_diff_24(const double* cdf_p, const double* cdf_q, double* diff) 
   return circular_work_24(scratch);
 }
 
-/// Total variation over raw bins: 0.5 * sum |p_i - q_i|.
-[[nodiscard]] inline double total_variation_24(const double* p, const double* q) noexcept {
-  double sum = 0.0;
-  for (std::size_t i = 0; i < kEmdFixedBins; ++i) {
-    sum += std::abs(p[i] - q[i]);
-  }
-  return 0.5 * sum;
-}
-
-/// Pairwise convenience kernels over raw bins; CDFs live in stack buffers.
-[[nodiscard]] inline double emd_linear_24(const double* p, const double* q) noexcept {
-  double cdf_p[kEmdFixedBins];
-  double cdf_q[kEmdFixedBins];
-  prefix_sums_24(p, cdf_p);
-  prefix_sums_24(q, cdf_q);
-  return emd_linear_cdf_24(cdf_p, cdf_q);
-}
-
+/// Pairwise circular EMD over raw bins; CDFs live in stack buffers.
 [[nodiscard]] inline double emd_circular_24(const double* p, const double* q) noexcept {
   double cdf_p[kEmdFixedBins];
   double cdf_q[kEmdFixedBins];

@@ -1,8 +1,10 @@
-// Fixed-width 24-bin EMD kernels (the zero-allocation placement hot path)
-// against the general-purpose span implementations.
+// Fixed-width 24-bin circular-EMD kernels (the scalar reference of the
+// placement kernels) against the general-purpose span implementations,
+// and the span metrics ablation A places with against their definitions.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "stats/emd.hpp"
@@ -25,11 +27,18 @@ constexpr std::size_t kPairs = 1000;
 }
 
 TEST(EmdKernels, LinearMatchesGeneralOnRandomPairs) {
+  // The span linear EMD against its CDF form, sum_i |P_i - Q_i|.
   util::Rng rng{101};
   for (std::size_t i = 0; i < kPairs; ++i) {
     const auto p = random_profile(rng);
     const auto q = random_profile(rng);
-    EXPECT_NEAR(emd_linear_24(p.data(), q.data()), emd_linear(p, q), 1e-9);
+    double cdf_p[kEmdFixedBins];
+    double cdf_q[kEmdFixedBins];
+    prefix_sums_24(p.data(), cdf_p);
+    prefix_sums_24(q.data(), cdf_q);
+    double work = 0.0;
+    for (std::size_t b = 0; b < kEmdFixedBins; ++b) work += std::abs(cdf_p[b] - cdf_q[b]);
+    EXPECT_NEAR(emd_linear(p, q), work, 1e-9);
   }
 }
 
@@ -43,17 +52,20 @@ TEST(EmdKernels, CircularMatchesGeneralOnRandomPairs) {
 }
 
 TEST(EmdKernels, TotalVariationMatchesGeneralOnRandomPairs) {
+  // The span total variation against its bin form, 0.5 * sum_i |p_i - q_i|.
   util::Rng rng{103};
   for (std::size_t i = 0; i < kPairs; ++i) {
     const auto p = random_profile(rng);
     const auto q = random_profile(rng);
-    EXPECT_NEAR(total_variation_24(p.data(), q.data()), total_variation(p, q), 1e-12);
+    double sum = 0.0;
+    for (std::size_t b = 0; b < kEmdFixedBins; ++b) sum += std::abs(p[b] - q[b]);
+    EXPECT_NEAR(total_variation(p, q), 0.5 * sum, 1e-12);
   }
 }
 
 TEST(EmdKernels, CdfVariantsBitIdenticalToPairwise) {
   // The batched path (precomputed CDFs) and the pairwise convenience
-  // kernels must produce the same bits — placement relies on it.
+  // kernel must produce the same bits — placement relies on it.
   util::Rng rng{104};
   for (std::size_t i = 0; i < 200; ++i) {
     const auto p = random_profile(rng);
@@ -63,7 +75,6 @@ TEST(EmdKernels, CdfVariantsBitIdenticalToPairwise) {
     double scratch[kEmdFixedBins];
     prefix_sums_24(p.data(), cdf_p);
     prefix_sums_24(q.data(), cdf_q);
-    EXPECT_EQ(emd_linear_cdf_24(cdf_p, cdf_q), emd_linear_24(p.data(), q.data()));
     EXPECT_EQ(emd_circular_cdf_24(cdf_p, cdf_q, scratch),
               emd_circular_24(p.data(), q.data()));
   }
@@ -141,9 +152,9 @@ TEST(EmdKernels, FusedDiffBoundMatchesSeparateCalls) {
 TEST(EmdKernels, IdenticalProfilesAreZeroDistance) {
   util::Rng rng{110};
   const auto p = random_profile(rng);
-  EXPECT_DOUBLE_EQ(emd_linear_24(p.data(), p.data()), 0.0);
+  EXPECT_DOUBLE_EQ(emd_linear(p, p), 0.0);
   EXPECT_DOUBLE_EQ(emd_circular_24(p.data(), p.data()), 0.0);
-  EXPECT_DOUBLE_EQ(total_variation_24(p.data(), p.data()), 0.0);
+  EXPECT_DOUBLE_EQ(total_variation(p, p), 0.0);
 }
 
 }  // namespace

@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
+#include "obs/metrics.hpp"
+#include "obs/pipeline_metrics.hpp"
 #include "util/rng.hpp"
 
 namespace tzgeo::core {
@@ -109,6 +113,28 @@ TEST(GeolocateCrowd, SingleRegionRecovery) {
   EXPECT_NEAR(result.components[0].sigma, 2.0, 0.8);
   EXPECT_EQ(result.users_analyzed, 300u);
   EXPECT_LT(result.fit_metrics.average, result.baseline_metrics.average);
+}
+
+TEST(GeolocateCrowd, LeavesRequiredPlacementCountersNonZero) {
+  // tools/tzgeo_obs_check requires these placement counters in every
+  // pipeline dump.  A geolocate_crowd run must move each of them, so the
+  // schema gate cannot pass on a counter that always reads 0.
+  if (obs::kDisabled) GTEST_SKIP() << "obs layer compiled out (TZGEO_OBS_DISABLED)";
+  const std::vector<std::string> required = {"tzgeo_placement_users_total",
+                                             "tzgeo_placement_zones_pruned_vectorized_total"};
+  (void)obs::PipelineMetrics::get();  // registers the inventory
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  std::vector<std::uint64_t> before;
+  for (const std::string& name : required) {
+    const obs::MetricId id = registry.find(name);
+    ASSERT_NE(id, obs::kInvalidMetric) << name;
+    before.push_back(registry.counter_value(id));
+  }
+  const auto zones = canonical_zones();
+  (void)geolocate_crowd(crowd_at(3, 300, 11, zones), zones);
+  for (std::size_t i = 0; i < required.size(); ++i) {
+    EXPECT_GT(registry.counter_value(registry.find(required[i])), before[i]) << required[i];
+  }
 }
 
 TEST(GeolocateCrowd, TwoRegionRecoveryWithWeights) {

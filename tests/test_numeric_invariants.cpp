@@ -69,10 +69,7 @@ TEST(EmdIdentities, FixedKernelsMatchSpanVariants) {
   for (int trial = 0; trial < 200; ++trial) {
     const std::vector<double> p = random_profile(rng);
     const std::vector<double> q = random_profile(rng);
-    EXPECT_NEAR(stats::emd_linear_24(p.data(), q.data()), stats::emd_linear(p, q), 1e-12);
     EXPECT_NEAR(stats::emd_circular_24(p.data(), q.data()), stats::emd_circular(p, q), 1e-12);
-    EXPECT_NEAR(stats::total_variation_24(p.data(), q.data()), stats::total_variation(p, q),
-                1e-12);
   }
 }
 
@@ -82,7 +79,7 @@ TEST(EmdIdentities, CircularNeverExceedsLinearAndBoundNeverExceedsExact) {
     const std::vector<double> p = random_profile(rng);
     const std::vector<double> q = random_profile(rng);
 
-    const double linear = stats::emd_linear_24(p.data(), q.data());
+    const double linear = stats::emd_linear(p, q);
     const double circular = stats::emd_circular_24(p.data(), q.data());
     EXPECT_LE(circular, linear + 1e-12);
 

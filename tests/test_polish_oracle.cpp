@@ -1,8 +1,8 @@
 // The fused Section IV-C polish against the copy-per-round polish it
 // replaced.  The oracle below is that code: each round flags every kept
-// user through the per-user engine (distance to uniform < distance to the
-// nearest zone), copies the survivors, places them again with
-// place_crowd_parallel on the same zones, and rebuilds the generic profile
+// user by exhaustive scan (distance to uniform < distance to the nearest
+// zone, placement_oracle.hpp), copies the survivors, places them again
+// with place_crowd on the same zones, and rebuilds the generic profile
 // from HourlyProfile::shifted copies through aggregate_profiles; the final
 // crowd placement places the survivors once more on the input zones.
 //
@@ -14,7 +14,7 @@
 // for bit — on randomized crowds on both sides of the serial cutoff, with
 // all-flat and none-flat crowds, duplicate profiles, near-tied zones,
 // users within 1e-12 of the flat threshold, early fixpoints and runs cut
-// off by max_rounds, under every metric and every compiled-in SIMD path.
+// off by max_rounds, on every compiled-in SIMD path.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -26,16 +26,13 @@
 
 #include "core/flat_filter.hpp"
 #include "core/geolocator.hpp"
-#include "core/parallel.hpp"
-#include "core/placement_engine.hpp"
+#include "core/placement.hpp"
 #include "core/simd/simd.hpp"
+#include "placement_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tzgeo::core {
 namespace {
-
-constexpr PlacementMetric kAllMetrics[] = {
-    PlacementMetric::kEmd, PlacementMetric::kCircularEmd, PlacementMetric::kTotalVariation};
 
 constexpr simd::Path kAllPaths[] = {simd::Path::kScalar, simd::Path::kAvx2,
                                     simd::Path::kNeon, simd::Path::kAvx512};
@@ -50,24 +47,20 @@ struct PathGuard {
 // --- the oracle: the copy-per-round polish -----------------------------
 
 [[nodiscard]] FlatFilterResult oracle_filter(const std::vector<UserProfileEntry>& users,
-                                             const TimeZoneProfiles& zones,
-                                             PlacementMetric metric) {
-  const PlacementEngine engine{zones, metric};
+                                             const TimeZoneProfiles& zones) {
   FlatFilterResult result;
   for (const UserProfileEntry& user : users) {
-    const bool flat =
-        engine.distance_to_uniform(user.profile) < engine.nearest_distance(user.profile);
-    (flat ? result.removed : result.kept).push_back(user);
+    (oracle::is_flat(user.profile, zones) ? result.removed : result.kept).push_back(user);
   }
   return result;
 }
 
 [[nodiscard]] PolishResult oracle_polish(const std::vector<UserProfileEntry>& users,
                                          const TimeZoneProfiles& initial_zones,
-                                         PlacementMetric metric, int max_rounds) {
+                                         int max_rounds) {
   PolishResult result{FlatFilterResult{users, {}}, initial_zones, 0};
   for (int round = 0; round < max_rounds; ++round) {
-    FlatFilterResult split = oracle_filter(result.split.kept, result.zones, metric);
+    FlatFilterResult split = oracle_filter(result.split.kept, result.zones);
     split.removed.insert(split.removed.end(), result.split.removed.begin(),
                          result.split.removed.end());
     const bool fixpoint = split.kept.size() == result.split.kept.size();
@@ -75,7 +68,7 @@ struct PathGuard {
     result.rounds = round + 1;
     if (fixpoint || result.split.kept.empty()) break;
 
-    const PlacementResult placement = place_crowd_parallel(result.split.kept, result.zones, metric);
+    const PlacementResult placement = place_crowd(result.split.kept, result.zones);
     std::vector<HourlyProfile> aligned;
     aligned.reserve(result.split.kept.size());
     for (std::size_t i = 0; i < result.split.kept.size(); ++i) {
@@ -197,12 +190,8 @@ void expect_same_placements(const PlacementResult& got, const PlacementResult& w
 /// bisected to the last bit, then offsets of a few 1e-12.
 void add_threshold_users(util::Rng& rng, const TimeZoneProfiles& zones,
                          std::vector<HourlyProfile>& out) {
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
   const HourlyProfile& zone = zones.zone_profile(random_zone(rng));
-  const auto flat = [&](double lambda) {
-    const HourlyProfile p = blend(zone, lambda);
-    return engine.distance_to_uniform(p) < engine.nearest_distance(p);
-  };
+  const auto flat = [&](double lambda) { return oracle::is_flat(blend(zone, lambda), zones); };
   double lo = 0.0;  // flat
   double hi = 1.0;  // kept
   for (int step = 0; step < 80; ++step) {
@@ -317,53 +306,46 @@ TEST(PolishOracle, FusedPolishMatchesCopyPerRoundPolishFieldForField) {
   int emptied = 0;
   int paths_run = 0;
   for (const Case& c : all_cases()) {
-    for (const PlacementMetric metric : kAllMetrics) {
-      SCOPED_TRACE(c.name + " metric " + std::to_string(static_cast<int>(metric)) +
-                   " max_rounds " + std::to_string(c.max_rounds));
-      ASSERT_TRUE(simd::set_path(simd::Path::kScalar));
-      const PolishResult want = oracle_polish(c.users, c.zones, metric, c.max_rounds);
-      const FlatFilterResult want_filter = oracle_filter(c.users, c.zones, metric);
-      PlacementResult want_placement;
-      if (!want.split.kept.empty()) {
-        want_placement = place_crowd_parallel(want.split.kept, c.zones, metric);
-      }
-      if (metric == PlacementMetric::kCircularEmd) {
-        const bool hit_cap = want.rounds == c.max_rounds;
-        fixpoint_at_1 += want.rounds == 1 && !want.split.kept.empty() && c.max_rounds > 1;
-        fixpoint_at_2 += want.rounds == 2 && !hit_cap && !want.split.kept.empty();
-        capped += hit_cap && c.max_rounds > 1 && want.split.removed.size() > 0;
-        capped_at_8 += hit_cap && c.max_rounds == 8;
-        emptied += want.split.kept.empty() && !c.users.empty();
-      }
+    SCOPED_TRACE(c.name + " max_rounds " + std::to_string(c.max_rounds));
+    ASSERT_TRUE(simd::set_path(simd::Path::kScalar));
+    const PolishResult want = oracle_polish(c.users, c.zones, c.max_rounds);
+    const FlatFilterResult want_filter = oracle_filter(c.users, c.zones);
+    PlacementResult want_placement;
+    if (!want.split.kept.empty()) want_placement = place_crowd(want.split.kept, c.zones);
+    const bool hit_cap = want.rounds == c.max_rounds;
+    fixpoint_at_1 += want.rounds == 1 && !want.split.kept.empty() && c.max_rounds > 1;
+    fixpoint_at_2 += want.rounds == 2 && !hit_cap && !want.split.kept.empty();
+    capped += hit_cap && c.max_rounds > 1 && want.split.removed.size() > 0;
+    capped_at_8 += hit_cap && c.max_rounds == 8;
+    emptied += want.split.kept.empty() && !c.users.empty();
 
-      for (const simd::Path path : kAllPaths) {
-        if (!simd::set_path(path)) continue;
-        SCOPED_TRACE(simd::to_string(path));
-        ++paths_run;
-        const PolishResult got = polish_population(c.users, c.zones, metric, c.max_rounds);
-        EXPECT_EQ(got.rounds, want.rounds);
-        expect_same_entries(got.split.kept, want.split.kept, "kept");
-        expect_same_entries(got.split.removed, want.split.removed, "removed");
-        EXPECT_TRUE(same_bits(got.zones.generic().values(), want.zones.generic().values()))
-            << "polished generic profile";
+    for (const simd::Path path : kAllPaths) {
+      if (!simd::set_path(path)) continue;
+      SCOPED_TRACE(simd::to_string(path));
+      ++paths_run;
+      const PolishResult got = polish_population(c.users, c.zones, c.max_rounds);
+      EXPECT_EQ(got.rounds, want.rounds);
+      expect_same_entries(got.split.kept, want.split.kept, "kept");
+      expect_same_entries(got.split.removed, want.split.removed, "removed");
+      EXPECT_TRUE(same_bits(got.zones.generic().values(), want.zones.generic().values()))
+          << "polished generic profile";
 
-        const FlatFilterResult got_filter = filter_flat_profiles(c.users, c.zones, metric);
-        expect_same_entries(got_filter.kept, want_filter.kept, "filter kept");
-        expect_same_entries(got_filter.removed, want_filter.removed, "filter removed");
+      const FlatFilterResult got_filter = filter_flat_profiles(c.users, c.zones);
+      expect_same_entries(got_filter.kept, want_filter.kept, "filter kept");
+      expect_same_entries(got_filter.removed, want_filter.removed, "filter removed");
 
-        // polish_and_place always runs polish_population's default cap.
-        if (c.max_rounds != 8) continue;
-        const PolishedPlacement placed = polish_and_place(c.users, c.zones, metric);
-        EXPECT_EQ(placed.removed, want.split.removed.size());
-        if (want.split.kept.empty()) {
-          EXPECT_TRUE(placed.placement.users.empty());
-        } else {
-          expect_same_placements(placed.placement, want_placement);
-        }
+      // polish_and_place always runs polish_population's default cap.
+      if (c.max_rounds != 8) continue;
+      const PolishedPlacement placed = polish_and_place(c.users, c.zones);
+      EXPECT_EQ(placed.removed, want.split.removed.size());
+      if (want.split.kept.empty()) {
+        EXPECT_TRUE(placed.placement.users.empty());
+      } else {
+        expect_same_placements(placed.placement, want_placement);
       }
     }
   }
-  EXPECT_GE(paths_run, 60 * 3);
+  EXPECT_GE(paths_run, 60);
   // The generated crowds must exercise every way a polish ends.
   EXPECT_GT(fixpoint_at_1, 0) << "no crowd reached its fixpoint in round 1";
   EXPECT_GT(fixpoint_at_2, 0) << "no crowd reached its fixpoint in round 2";
@@ -378,11 +360,9 @@ TEST(PolishOracle, UnboundedRoundCapRunsToTheFixpoint) {
   for (const std::uint64_t seed : {1u, 4u}) {
     const Case c = make_case(seed, 1000 + 200 * seed, Kind::kLadder, 8);
     SCOPED_TRACE(c.name);
-    const PolishResult want = oracle_polish(c.users, c.zones, PlacementMetric::kCircularEmd,
-                                            std::numeric_limits<int>::max());
+    const PolishResult want = oracle_polish(c.users, c.zones, std::numeric_limits<int>::max());
     EXPECT_GT(want.rounds, 8) << "the crowd should run past the default cap";
-    const PolishResult got = polish_population(c.users, c.zones, PlacementMetric::kCircularEmd,
-                                               std::numeric_limits<int>::max());
+    const PolishResult got = polish_population(c.users, c.zones, std::numeric_limits<int>::max());
     EXPECT_EQ(got.rounds, want.rounds);
     expect_same_entries(got.split.kept, want.split.kept, "kept");
     expect_same_entries(got.split.removed, want.split.removed, "removed");
@@ -397,10 +377,9 @@ TEST(PolishOracle, GeolocateReportsTheOraclePlacement) {
   for (const std::uint64_t seed : {3u, 14u, 25u}) {
     const Case c = make_case(seed, 400 + 300 * seed, Kind::kMixed, 8);
     SCOPED_TRACE(c.name);
-    const PolishResult want = oracle_polish(c.users, c.zones, PlacementMetric::kCircularEmd, 8);
+    const PolishResult want = oracle_polish(c.users, c.zones, 8);
     ASSERT_FALSE(want.split.kept.empty());
-    const PlacementResult want_placement =
-        place_crowd_parallel(want.split.kept, c.zones, PlacementMetric::kCircularEmd);
+    const PlacementResult want_placement = place_crowd(want.split.kept, c.zones);
     const GeolocationResult got = geolocate_crowd(c.users, c.zones);
     EXPECT_EQ(got.users_filtered_flat, want.split.removed.size());
     EXPECT_EQ(got.users_analyzed, want.split.kept.size());
@@ -415,11 +394,8 @@ TEST(PolishOracle, ThresholdUsersStraddleTheFlatTest) {
   const TimeZoneProfiles zones{canonical_shape()};
   std::vector<HourlyProfile> profiles;
   add_threshold_users(rng, zones, profiles);
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
   int flat = 0;
-  for (const HourlyProfile& p : profiles) {
-    flat += engine.distance_to_uniform(p) < engine.nearest_distance(p) ? 1 : 0;
-  }
+  for (const HourlyProfile& p : profiles) flat += oracle::is_flat(p, zones) ? 1 : 0;
   EXPECT_GT(flat, 0);
   EXPECT_LT(flat, static_cast<int>(profiles.size()));
 }

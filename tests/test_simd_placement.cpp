@@ -1,25 +1,23 @@
 // The SIMD dispatch shim and SoA group kernels: every compiled-in path
 // (scalar, AVX2, AVX-512, NEON) must place bit-identically to the
-// per-user engine on any crowd — including degenerate profiles and tail
-// groups — and sharding across threads must never change a byte.
+// exhaustive-scan oracle on any crowd — including degenerate profiles and
+// tail groups — and sharding across threads must never change a byte.
 #include <gtest/gtest.h>
 
 #include <cstring>
 #include <string>
+#include <thread>
 #include <vector>
 
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/simd/simd.hpp"
 #include "core/soa_crowd.hpp"
+#include "placement_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tzgeo::core {
 namespace {
-
-constexpr PlacementMetric kAllMetrics[] = {
-    PlacementMetric::kEmd, PlacementMetric::kCircularEmd, PlacementMetric::kTotalVariation};
 
 constexpr simd::Path kAllPaths[] = {simd::Path::kScalar, simd::Path::kAvx2,
                                     simd::Path::kNeon, simd::Path::kAvx512};
@@ -79,12 +77,12 @@ struct PathGuard {
   return out;
 }
 
-void expect_matches_per_user(const PlacementEngine& engine,
-                             const std::vector<UserProfileEntry>& users,
-                             const std::vector<UserPlacement>& got) {
+void expect_matches_oracle(const TimeZoneProfiles& zones,
+                           const std::vector<UserProfileEntry>& users,
+                           const std::vector<UserPlacement>& got) {
   ASSERT_EQ(got.size(), users.size());
   for (std::size_t i = 0; i < users.size(); ++i) {
-    const UserPlacement want = engine.place(users[i].user, users[i].profile);
+    const UserPlacement want = oracle::place(users[i].user, users[i].profile, zones);
     EXPECT_EQ(got[i].user, want.user) << "user " << i;
     EXPECT_EQ(got[i].zone_hours, want.zone_hours) << "user " << i;
     EXPECT_EQ(got[i].distance, want.distance) << "user " << i;
@@ -96,33 +94,31 @@ TEST(SimdPlacement, EveryPathMatchesPerUserEngineAllMetrics) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(10'000, 101, zones);
   PathGuard guard;
-  for (const PlacementMetric metric : kAllMetrics) {
-    const PlacementEngine engine{zones, metric};
-    SoaCrowd crowd;
-    crowd.build(users, engine.soa_planes());
-    for (const simd::Path path : kAllPaths) {
-      if (!simd::set_path(path)) continue;
-      SCOPED_TRACE(simd::to_string(path));
-      expect_matches_per_user(engine, users, place_all(engine, crowd));
-    }
+  const PlacementEngine engine{zones};
+  SoaCrowd crowd;
+  crowd.build(users);
+  for (const simd::Path path : kAllPaths) {
+    if (!simd::set_path(path)) continue;
+    SCOPED_TRACE(simd::to_string(path));
+    expect_matches_oracle(zones, users, place_all(engine, crowd));
   }
 }
 
 TEST(SimdPlacement, RaggedTailSizesMatchOnEveryPath) {
   const TimeZoneProfiles zones{canonical_shape()};
   PathGuard guard;
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
+  const PlacementEngine engine{zones};
   // Everything around the kLanes group boundary: single user, partial
   // group, exact group, one-past, and a many-group crowd with a stub tail.
   for (const std::size_t size : {std::size_t{1}, std::size_t{7}, std::size_t{8},
                                  std::size_t{9}, std::size_t{15}, std::size_t{201}}) {
     const auto users = mixed_crowd(size, 7 + size, zones);
     SoaCrowd crowd;
-    crowd.build(users, engine.soa_planes());
+    crowd.build(users);
     for (const simd::Path path : kAllPaths) {
       if (!simd::set_path(path)) continue;
       SCOPED_TRACE(std::string{simd::to_string(path)} + " size " + std::to_string(size));
-      expect_matches_per_user(engine, users, place_all(engine, crowd));
+      expect_matches_oracle(zones, users, place_all(engine, crowd));
     }
   }
 }
@@ -131,25 +127,23 @@ TEST(SimdPlacement, AllPathsAgreeExactly) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(4'096, 33, zones);
   PathGuard guard;
-  for (const PlacementMetric metric : kAllMetrics) {
-    const PlacementEngine engine{zones, metric};
-    SoaCrowd crowd;
-    crowd.build(users, engine.soa_planes());
-    ASSERT_TRUE(simd::set_path(simd::Path::kScalar));
-    const std::vector<UserPlacement> reference = place_all(engine, crowd);
-    for (const simd::Path path : kAllPaths) {
-      if (path == simd::Path::kScalar || !simd::set_path(path)) continue;
-      SCOPED_TRACE(simd::to_string(path));
-      const std::vector<UserPlacement> got = place_all(engine, crowd);
-      ASSERT_EQ(got.size(), reference.size());
-      for (std::size_t i = 0; i < got.size(); ++i) {
-        // Exact == on the doubles: bit-identical up to the padding bytes
-        // a raw memcmp would (wrongly) also compare.
-        EXPECT_EQ(got[i].user, reference[i].user);
-        EXPECT_EQ(got[i].zone_hours, reference[i].zone_hours);
-        EXPECT_EQ(got[i].distance, reference[i].distance);
-        EXPECT_EQ(got[i].runner_up_distance, reference[i].runner_up_distance);
-      }
+  const PlacementEngine engine{zones};
+  SoaCrowd crowd;
+  crowd.build(users);
+  ASSERT_TRUE(simd::set_path(simd::Path::kScalar));
+  const std::vector<UserPlacement> reference = place_all(engine, crowd);
+  for (const simd::Path path : kAllPaths) {
+    if (path == simd::Path::kScalar || !simd::set_path(path)) continue;
+    SCOPED_TRACE(simd::to_string(path));
+    const std::vector<UserPlacement> got = place_all(engine, crowd);
+    ASSERT_EQ(got.size(), reference.size());
+    for (std::size_t i = 0; i < got.size(); ++i) {
+      // Exact == on the doubles: bit-identical up to the padding bytes
+      // a raw memcmp would (wrongly) also compare.
+      EXPECT_EQ(got[i].user, reference[i].user);
+      EXPECT_EQ(got[i].zone_hours, reference[i].zone_hours);
+      EXPECT_EQ(got[i].distance, reference[i].distance);
+      EXPECT_EQ(got[i].runner_up_distance, reference[i].runner_up_distance);
     }
   }
 }
@@ -157,12 +151,29 @@ TEST(SimdPlacement, AllPathsAgreeExactly) {
 TEST(SimdPlacement, SerialAndShardedBitIdenticalAcrossThreadCounts) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(3'000, 55, zones);
-  const PlacementResult serial =
-      place_crowd(users, zones, PlacementMetric::kCircularEmd);
+  const PlacementResult serial = place_crowd(users, zones);
+  const PlacementEngine engine{zones};
+  SoaCrowd crowd;
+  crowd.build(users);
   for (const std::size_t threads : {std::size_t{1}, std::size_t{2}, std::size_t{4},
                                     std::size_t{8}}) {
-    const PlacementResult sharded =
-        place_crowd_parallel(users, zones, PlacementMetric::kCircularEmd, threads);
+    // One thread per shard of the group range, each with its own counts.
+    PlacementResult sharded;
+    sharded.users.resize(users.size());
+    sharded.counts.assign(kZoneCount, 0.0);
+    std::vector<std::vector<double>> shard_counts(threads, std::vector<double>(kZoneCount));
+    std::vector<std::thread> shards;
+    for (std::size_t t = 0; t < threads; ++t) {
+      shards.emplace_back([&, t] {
+        PlacementEngine::SoaStats counters;
+        engine.place_soa(crowd, crowd.groups() * t / threads, crowd.groups() * (t + 1) / threads,
+                         sharded.users.data(), counters, shard_counts[t].data());
+      });
+    }
+    for (std::thread& shard : shards) shard.join();
+    for (const std::vector<double>& counts : shard_counts) {
+      for (std::size_t bin = 0; bin < kZoneCount; ++bin) sharded.counts[bin] += counts[bin];
+    }
     ASSERT_EQ(sharded.users.size(), serial.users.size());
     for (std::size_t i = 0; i < serial.users.size(); ++i) {
       EXPECT_EQ(sharded.users[i].user, serial.users[i].user);
@@ -178,9 +189,9 @@ TEST(SimdPlacement, FlatFlagsMatchPerUserComparisonOnEveryPath) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(1'000, 77, zones);
   PathGuard guard;
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
+  const PlacementEngine engine{zones};
   SoaCrowd crowd;
-  crowd.build(users, engine.soa_planes());
+  crowd.build(users);
   for (const simd::Path path : kAllPaths) {
     if (!simd::set_path(path)) continue;
     SCOPED_TRACE(simd::to_string(path));
@@ -190,10 +201,9 @@ TEST(SimdPlacement, FlatFlagsMatchPerUserComparisonOnEveryPath) {
     engine.place_soa(crowd, 0, crowd.groups(), placements.data(), counters, nullptr,
                      to_uniform.data());
     for (std::size_t i = 0; i < users.size(); ++i) {
-      EXPECT_EQ(to_uniform[i], engine.distance_to_uniform(users[i].profile)) << "user " << i;
-      const bool want = engine.distance_to_uniform(users[i].profile) <
-                        engine.nearest_distance(users[i].profile);
-      EXPECT_EQ(to_uniform[i] < placements[i].distance, want) << "user " << i;
+      EXPECT_EQ(to_uniform[i], oracle::to_uniform(users[i].profile)) << "user " << i;
+      EXPECT_EQ(to_uniform[i] < placements[i].distance, oracle::is_flat(users[i].profile, zones))
+          << "user " << i;
     }
   }
 }
@@ -215,37 +225,35 @@ TEST(SoaCrowdRetain, CompactsLiveColumnsAndPadsRaggedTails) {
   const TimeZoneProfiles zones{canonical_shape()};
   constexpr std::size_t kSize = 3 * simd::kLanes + 3;
   const auto users = mixed_crowd(kSize, 91, zones);
-  for (const SoaCrowd::Planes kind : {SoaCrowd::Planes::kCdf, SoaCrowd::Planes::kBins}) {
-    SoaCrowd full;
-    full.build(users, kind);
-    for (std::size_t live = 0; live <= 2 * simd::kLanes + 1; ++live) {
-      SCOPED_TRACE("live " + std::to_string(live));
-      const std::vector<std::uint8_t> keep = keep_mask(kSize, live, 100 + live);
-      SoaCrowd crowd;
-      crowd.build(users, kind);
-      crowd.retain(keep);
-      ASSERT_EQ(crowd.size(), live);
-      ASSERT_EQ(crowd.stride(), (live + simd::kLanes - 1) / simd::kLanes * simd::kLanes);
-      EXPECT_EQ(crowd.groups() * simd::kLanes, crowd.stride());
+  SoaCrowd full;
+  full.build(users);
+  for (std::size_t live = 0; live <= 2 * simd::kLanes + 1; ++live) {
+    SCOPED_TRACE("live " + std::to_string(live));
+    const std::vector<std::uint8_t> keep = keep_mask(kSize, live, 100 + live);
+    SoaCrowd crowd;
+    crowd.build(users);
+    crowd.retain(keep);
+    ASSERT_EQ(crowd.size(), live);
+    ASSERT_EQ(crowd.stride(), (live + simd::kLanes - 1) / simd::kLanes * simd::kLanes);
+    EXPECT_EQ(crowd.groups() * simd::kLanes, crowd.stride());
 
-      // Survivors keep the full crowd's slot order and original indices.
-      std::size_t slot = 0;
-      for (std::size_t s = 0; s < full.size(); ++s) {
-        const std::size_t index = full.index_of_slot(s);
-        if (keep[index] == 0) continue;
-        ASSERT_EQ(crowd.index_of_slot(slot), index);
-        EXPECT_EQ(crowd.user_of_slot(slot), full.user_of_slot(s));
-        for (std::size_t b = 0; b < kProfileBins; ++b) {
-          EXPECT_EQ(crowd.planes()[b * crowd.stride() + slot], full.planes()[b * full.stride() + s]);
-        }
-        ++slot;
+    // Survivors keep the full crowd's slot order and original indices.
+    std::size_t slot = 0;
+    for (std::size_t s = 0; s < full.size(); ++s) {
+      const std::size_t index = full.index_of_slot(s);
+      if (keep[index] == 0) continue;
+      ASSERT_EQ(crowd.index_of_slot(slot), index);
+      EXPECT_EQ(crowd.user_of_slot(slot), full.user_of_slot(s));
+      for (std::size_t b = 0; b < kProfileBins; ++b) {
+        EXPECT_EQ(crowd.planes()[b * crowd.stride() + slot], full.planes()[b * full.stride() + s]);
       }
-      // Pad lanes clone the last live column.
-      for (std::size_t b = 0; b < kProfileBins && live > 0; ++b) {
-        const double* plane = crowd.planes() + b * crowd.stride();
-        for (std::size_t s = live; s < crowd.stride(); ++s) {
-          EXPECT_EQ(plane[s], plane[live - 1]) << "plane " << b << " pad " << s;
-        }
+      ++slot;
+    }
+    // Pad lanes clone the last live column.
+    for (std::size_t b = 0; b < kProfileBins && live > 0; ++b) {
+      const double* plane = crowd.planes() + b * crowd.stride();
+      for (std::size_t s = live; s < crowd.stride(); ++s) {
+        EXPECT_EQ(plane[s], plane[live - 1]) << "plane " << b << " pad " << s;
       }
     }
   }
@@ -255,45 +263,43 @@ TEST(SoaCrowdRetain, PlacementAfterRetainEqualsFreshBuildOfSurvivors) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(700, 23, zones);
   PathGuard guard;
-  for (const PlacementMetric metric : kAllMetrics) {
-    const PlacementEngine engine{zones, metric};
-    for (const std::size_t live : {std::size_t{0}, std::size_t{1}, std::size_t{9},
-                                   std::size_t{350}, std::size_t{699}}) {
-      const std::vector<std::uint8_t> keep = keep_mask(users.size(), live, live);
-      std::vector<UserProfileEntry> survivors;
+  const PlacementEngine engine{zones};
+  for (const std::size_t live : {std::size_t{0}, std::size_t{1}, std::size_t{9},
+                                 std::size_t{350}, std::size_t{699}}) {
+    const std::vector<std::uint8_t> keep = keep_mask(users.size(), live, live);
+    std::vector<UserProfileEntry> survivors;
+    for (std::size_t i = 0; i < users.size(); ++i) {
+      if (keep[i] != 0) survivors.push_back(users[i]);
+    }
+    SoaCrowd retained;
+    retained.build(users);
+    retained.retain(keep);
+    SoaCrowd fresh;
+    fresh.build(survivors);
+    ASSERT_EQ(retained.size(), fresh.size());
+    for (const simd::Path path : kAllPaths) {
+      if (!simd::set_path(path)) continue;
+      SCOPED_TRACE(std::string{simd::to_string(path)} + " live " + std::to_string(live));
+      std::vector<UserPlacement> got(users.size());
+      std::vector<double> got_uniform(users.size());
+      std::vector<UserPlacement> want(survivors.size());
+      std::vector<double> want_uniform(survivors.size());
+      PlacementEngine::SoaStats counters;
+      engine.place_soa(retained, 0, retained.groups(), got.data(), counters, nullptr,
+                       got_uniform.data());
+      engine.place_soa(fresh, 0, fresh.groups(), want.data(), counters, nullptr,
+                       want_uniform.data());
+      std::size_t j = 0;
       for (std::size_t i = 0; i < users.size(); ++i) {
-        if (keep[i] != 0) survivors.push_back(users[i]);
-      }
-      SoaCrowd retained;
-      retained.build(users, engine.soa_planes());
-      retained.retain(keep);
-      SoaCrowd fresh;
-      fresh.build(survivors, engine.soa_planes());
-      ASSERT_EQ(retained.size(), fresh.size());
-      for (const simd::Path path : kAllPaths) {
-        if (!simd::set_path(path)) continue;
-        SCOPED_TRACE(std::string{simd::to_string(path)} + " live " + std::to_string(live));
-        std::vector<UserPlacement> got(users.size());
-        std::vector<double> got_uniform(users.size());
-        std::vector<UserPlacement> want(survivors.size());
-        std::vector<double> want_uniform(survivors.size());
-        PlacementEngine::SoaStats counters;
-        engine.place_soa(retained, 0, retained.groups(), got.data(), counters, nullptr,
-                         got_uniform.data());
-        engine.place_soa(fresh, 0, fresh.groups(), want.data(), counters, nullptr,
-                         want_uniform.data());
-        std::size_t j = 0;
-        for (std::size_t i = 0; i < users.size(); ++i) {
-          if (keep[i] == 0) continue;
-          EXPECT_EQ(got[i].user, want[j].user);
-          EXPECT_EQ(got[i].zone_hours, want[j].zone_hours);
-          EXPECT_EQ(std::memcmp(&got[i].distance, &want[j].distance, sizeof(double)), 0);
-          EXPECT_EQ(std::memcmp(&got[i].runner_up_distance, &want[j].runner_up_distance,
-                                sizeof(double)),
-                    0);
-          EXPECT_EQ(std::memcmp(&got_uniform[i], &want_uniform[j], sizeof(double)), 0);
-          ++j;
-        }
+        if (keep[i] == 0) continue;
+        EXPECT_EQ(got[i].user, want[j].user);
+        EXPECT_EQ(got[i].zone_hours, want[j].zone_hours);
+        EXPECT_EQ(std::memcmp(&got[i].distance, &want[j].distance, sizeof(double)), 0);
+        EXPECT_EQ(std::memcmp(&got[i].runner_up_distance, &want[j].runner_up_distance,
+                              sizeof(double)),
+                  0);
+        EXPECT_EQ(std::memcmp(&got_uniform[i], &want_uniform[j], sizeof(double)), 0);
+        ++j;
       }
     }
   }
@@ -302,9 +308,9 @@ TEST(SoaCrowdRetain, PlacementAfterRetainEqualsFreshBuildOfSurvivors) {
 TEST(SimdPlacement, PruneCountersPartitionTheZoneSweep) {
   const TimeZoneProfiles zones{canonical_shape()};
   const auto users = mixed_crowd(512, 13, zones);
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
+  const PlacementEngine engine{zones};
   SoaCrowd crowd;
-  crowd.build(users, engine.soa_planes());
+  crowd.build(users);
   std::vector<UserPlacement> out(crowd.size());
   PlacementEngine::SoaStats counters;
   engine.place_soa(crowd, 0, crowd.groups(), out.data(), counters);
@@ -322,17 +328,17 @@ TEST(SimdPlacement, SoaCacheHitsOnRepeatAndMissesAfterInvalidate) {
   cache.invalidate_all();
 
   SoaCrowdCache::Prepare first;
-  const auto a = cache.get(users, SoaCrowd::Planes::kCdf, &first);
+  const auto a = cache.get(users, &first);
   EXPECT_FALSE(first.hit);
 
   SoaCrowdCache::Prepare second;
-  const auto b = cache.get(users, SoaCrowd::Planes::kCdf, &second);
+  const auto b = cache.get(users, &second);
   EXPECT_TRUE(second.hit);
   EXPECT_EQ(a.get(), b.get());
 
   cache.invalidate_all();
   SoaCrowdCache::Prepare third;
-  const auto c = cache.get(users, SoaCrowd::Planes::kCdf, &third);
+  const auto c = cache.get(users, &third);
   EXPECT_FALSE(third.hit);
   EXPECT_NE(a.get(), c.get());
 }

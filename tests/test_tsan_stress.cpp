@@ -20,7 +20,6 @@
 #include "core/bootstrap.hpp"
 #include "core/geolocator.hpp"
 #include "core/ingest.hpp"
-#include "core/parallel.hpp"
 #include "core/placement.hpp"
 #include "core/placement_engine.hpp"
 #include "core/profile.hpp"
@@ -31,6 +30,7 @@
 #include "core/timezone_profiles.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "placement_oracle.hpp"
 #include "util/rng.hpp"
 
 namespace tzgeo::core {
@@ -161,11 +161,14 @@ TEST(TsanStress, ConcurrentExceptionsOnSharedPool) {
 // --- parallel placement ---------------------------------------------------
 
 TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
-  // Overlapping place_crowd_parallel calls on the shared global pool must
-  // neither race nor perturb each other's results.
+  // Overlapping place_crowd calls on the shared global pool must neither
+  // race nor perturb each other's results.
   const TimeZoneProfiles zones = stress_zones();
   const std::vector<UserProfileEntry> crowd = stress_crowd(600, 7);
-  const PlacementResult serial = place_crowd(crowd, zones);
+  PlacementResult serial;
+  for (const UserProfileEntry& entry : crowd) {
+    serial.users.push_back(oracle::place(entry.user, entry.profile, zones));
+  }
 
   constexpr std::size_t kCallers = 6;
   std::vector<PlacementResult> results(kCallers);
@@ -173,7 +176,7 @@ TEST(TsanStress, ConcurrentPlaceCrowdParallelMatchesSerial) {
   callers.reserve(kCallers);
   for (std::size_t c = 0; c < kCallers; ++c) {
     callers.emplace_back([&zones, &crowd, &results, c] {
-      results[c] = place_crowd_parallel(crowd, zones);
+      results[c] = place_crowd(crowd, zones);
     });
   }
   for (auto& t : callers) t.join();
@@ -231,10 +234,10 @@ TEST(TsanStress, ConcurrentShardedSoaPlacementOnSharedCrowd) {
   // every interleaving must be race-free and every shard must land its
   // slots exactly once.
   const TimeZoneProfiles zones = stress_zones();
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
+  const PlacementEngine engine{zones};
   const std::vector<UserProfileEntry> crowd = stress_crowd(800, 31);
   SoaCrowd soa;
-  soa.build(crowd, engine.soa_planes());
+  soa.build(crowd);
 
   constexpr std::size_t kRounds = 12;
   constexpr std::size_t kShards = 4;
@@ -271,10 +274,11 @@ TEST(TsanStress, ConcurrentShardedSoaPlacementOnSharedCrowd) {
 }
 
 TEST(TsanStress, SharedEngineConcurrentReaders) {
-  // place() is const and allocation-free; many threads sharing one engine
-  // must be race-free by construction.
+  // place_soa() is const and allocation-free; many threads sharing one
+  // engine, each placing its own one-user crowds, must be race-free by
+  // construction and agree with the oracle.
   const TimeZoneProfiles zones = stress_zones();
-  const PlacementEngine engine{zones, PlacementMetric::kCircularEmd};
+  const PlacementEngine engine{zones};
   const std::vector<UserProfileEntry> crowd = stress_crowd(200, 11);
 
   constexpr std::size_t kReaders = 8;
@@ -282,10 +286,15 @@ TEST(TsanStress, SharedEngineConcurrentReaders) {
   readers.reserve(kReaders);
   std::atomic<std::size_t> placed{0};
   for (std::size_t r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&engine, &crowd, &placed] {
+    readers.emplace_back([&engine, &crowd, &zones, &placed] {
       for (const auto& entry : crowd) {
-        const UserPlacement placement = engine.place(entry.user, entry.profile);
-        if (placement.zone_hours >= kMinZone && placement.zone_hours <= kMaxZone) {
+        SoaCrowd one;
+        one.build({entry});
+        UserPlacement placement;
+        PlacementEngine::SoaStats counters;
+        engine.place_soa(one, 0, one.groups(), &placement, counters);
+        const UserPlacement want = oracle::place(entry.user, entry.profile, zones);
+        if (placement.zone_hours == want.zone_hours && placement.distance == want.distance) {
           placed.fetch_add(1, std::memory_order_relaxed);
         }
       }

@@ -193,9 +193,12 @@ class JsonValidator {
 /// Metric names every pipeline run must register (a subset of the full
 /// inventory in DESIGN.md §10 — one representative per layer).
 constexpr const char* kRequiredMetrics[] = {
-    "tzgeo_ingest_rows_ok_total",        "tzgeo_ingest_chunk_parse_us",
-    "tzgeo_placement_users_total",       "tzgeo_placement_zones_pruned_total",
-    "tzgeo_incremental_snapshots_total", "tzgeo_forum_polls_total",
+    "tzgeo_ingest_rows_ok_total",
+    "tzgeo_ingest_chunk_parse_us",
+    "tzgeo_placement_users_total",
+    "tzgeo_placement_zones_pruned_vectorized_total",
+    "tzgeo_incremental_snapshots_total",
+    "tzgeo_forum_polls_total",
     "tzgeo_tor_circuits_built_total",
 };
 
