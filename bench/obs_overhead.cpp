@@ -29,7 +29,6 @@
 #include "obs/health.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/timeseries.hpp"
 #include "obs/trace.hpp"
 #include "synth/dataset.hpp"
 
@@ -151,20 +150,6 @@ void BM_HealthBeat(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_HealthBeat);
-
-void BM_RecorderSample(benchmark::State& state) {
-  // One dashboard tick: snapshot every registered metric into a ring
-  // row.  Steady-state (layout already built, rows already sized) must
-  // stay allocation-free.
-  obs::TimeSeriesRecorder recorder{64};
-  recorder.sample();  // builds the layout + sizes the first rows
-  for (auto _ : state) {
-    recorder.sample();
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<std::int64_t>(obs::MetricsRegistry::global().size()));
-}
-BENCHMARK(BM_RecorderSample);
 
 // --- instrumented pipeline stages, enabled vs. quiesced --------------------
 

@@ -136,6 +136,10 @@ Fleet::Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
   }
   rounds_total_ =
       static_cast<std::size_t>(options_.duration_seconds / options_.poll_interval_seconds) + 1;
+  // The fleet component first: a large fleet fills the health table with
+  // its per-forum components below, and this one must not be the one
+  // refused.
+  (void)fleet_health();
 
   const std::size_t count = specs.size();
   forums_.reserve(count);
@@ -175,8 +179,9 @@ Fleet::Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
     forum->state.end_time = forum->t0 + options_.duration_seconds;
 
     // Past the component cap this degrades to a no-op id (beats are
-    // guarded), so a 200-forum fleet is fine — the fleet-level component
-    // and gauges still cover it.
+    // guarded) and the healthz report counts the refusal, so a 200-forum
+    // fleet is fine — the forum.fleet component, registered above, and
+    // the fleet gauges still cover it.
     forum->health = obs::Health::global().component("fleet." + forum->spec.name,
                                                     300'000'000'000ull);
     forums_.push_back(std::move(forum));

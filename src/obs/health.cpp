@@ -5,7 +5,9 @@
 
 namespace tzgeo::obs {
 
-const char* health_state_name(HealthState state) noexcept {
+namespace {
+
+[[nodiscard]] const char* health_state_name(HealthState state) noexcept {
   switch (state) {
     case HealthState::kStarting: return "starting";
     case HealthState::kIdle: return "idle";
@@ -16,21 +18,28 @@ const char* health_state_name(HealthState state) noexcept {
   return "unknown";  // unreachable
 }
 
+}  // namespace
+
 Health::ComponentId Health::component(std::string_view name,
                                       std::uint64_t stall_after_ns) {
   if constexpr (kDisabled) return kInvalidComponent;
+  // Stored names are cut to the slot capacity; compare them cut the same
+  // way, or a long name would take a fresh slot on every call.
+  name = name.substr(0, kNameCapacity - 1);
   const std::lock_guard<std::mutex> lock(mutex_);
   const std::size_t count = count_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < count; ++i) {
     const Component& c = components_[i];
     if (std::string_view{c.name, c.name_len} == name) return static_cast<ComponentId>(i);
   }
-  if (count >= kMaxComponents) return kInvalidComponent;
+  if (count >= kMaxComponents) {
+    ++refused_;
+    return kInvalidComponent;
+  }
   Component& c = components_[count];
-  const std::size_t n = std::min(name.size(), kNameCapacity - 1);
-  std::memcpy(c.name, name.data(), n);
-  c.name[n] = '\0';
-  c.name_len = static_cast<std::uint8_t>(n);
+  std::memcpy(c.name, name.data(), name.size());
+  c.name[name.size()] = '\0';
+  c.name_len = static_cast<std::uint8_t>(name.size());
   c.stall_after_ns = stall_after_ns == 0 ? kDefaultStallNs : stall_after_ns;
   c.last_beat_ns.store(0, std::memory_order_relaxed);
   c.beats.store(0, std::memory_order_relaxed);
@@ -102,6 +111,7 @@ Health::Report Health::report(std::uint64_t now_ns) const {
   if constexpr (kDisabled) return out;
   const std::size_t count = count_.load(std::memory_order_acquire);
   const std::lock_guard<std::mutex> lock(mutex_);
+  out.refused = refused_;
   for (std::size_t i = 0; i < count; ++i) {
     const Component& c = components_[i];
     ComponentReport entry;
@@ -156,6 +166,7 @@ util::JsonValue Health::to_json(std::uint64_t now_ns) const {
   util::JsonValue root = util::JsonValue::object();
   root.set("status", util::JsonValue::string(health_state_name(r.overall)));
   root.set("components", std::move(components));
+  root.set("refused_components", util::JsonValue::integer(static_cast<std::int64_t>(r.refused)));
   return root;
 }
 
@@ -163,6 +174,7 @@ void Health::reset() {
   if constexpr (kDisabled) return;
   const std::lock_guard<std::mutex> lock(mutex_);
   count_.store(0, std::memory_order_release);
+  refused_ = 0;
 }
 
 Health& Health::global() {

@@ -40,8 +40,6 @@ namespace tzgeo::obs {
 
 enum class HealthState : std::uint8_t { kStarting, kIdle, kOk, kStalled, kFailed };
 
-[[nodiscard]] const char* health_state_name(HealthState state) noexcept;
-
 class Health {
  public:
   using ComponentId = std::uint32_t;
@@ -56,8 +54,9 @@ class Health {
   Health(const Health&) = delete;
   Health& operator=(const Health&) = delete;
 
-  /// Registers (or finds, by exact name) a component.  Slow path; call
-  /// once and keep the id.  Returns kInvalidComponent past capacity.
+  /// Registers (or finds, by name cut to kNameCapacity - 1 bytes) a
+  /// component.  Slow path; call once and keep the id.  Past capacity it
+  /// returns kInvalidComponent and counts the refusal in Report::refused.
   ComponentId component(std::string_view name,
                         std::uint64_t stall_after_ns = kDefaultStallNs);
 
@@ -123,6 +122,7 @@ class Health {
   struct Report {
     HealthState overall = HealthState::kOk;  ///< worst component verdict
     std::vector<ComponentReport> components;
+    std::uint64_t refused = 0;  ///< registrations refused past kMaxComponents
   };
 
   [[nodiscard]] Report report(std::uint64_t now_ns = Stopwatch::now_ns()) const;
@@ -130,8 +130,8 @@ class Health {
   /// True iff no component is stalled or failed.
   [[nodiscard]] bool healthy(std::uint64_t now_ns = Stopwatch::now_ns()) const;
 
-  /// {"status": "ok"|"stalled"|"failed", "components": [...]} — the
-  /// healthz body.
+  /// {"status": "ok"|"stalled"|"failed", "components": [...],
+  /// "refused_components": N} — the healthz body.
   [[nodiscard]] util::JsonValue to_json(std::uint64_t now_ns = Stopwatch::now_ns()) const;
 
   [[nodiscard]] std::size_t size() const noexcept {
@@ -164,6 +164,7 @@ class Health {
 
   mutable std::mutex mutex_;  ///< guards registration + failure reasons
   std::atomic<std::size_t> count_{0};
+  std::uint64_t refused_ = 0;  ///< guarded by mutex_
   std::array<Component, kMaxComponents> components_;
 };
 

@@ -105,9 +105,7 @@ void put_field(BufWriter& w, const LogField& f) noexcept {
   }
 }
 
-}  // namespace
-
-const char* log_level_name(LogLevel level) noexcept {
+[[nodiscard]] const char* log_level_name(LogLevel level) noexcept {
   switch (level) {
     case LogLevel::kDebug: return "debug";
     case LogLevel::kInfo: return "info";
@@ -117,6 +115,8 @@ const char* log_level_name(LogLevel level) noexcept {
   return "unknown";  // unreachable
 }
 
+}  // namespace
+
 Log::Log(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
   if constexpr (kDisabled) {
     capacity_ = 0;
@@ -124,8 +124,6 @@ Log::Log(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
   }
   ring_.resize(capacity_);  // one up-front allocation; hot path copies into slots
 }
-
-Log::~Log() { close_sink(); }
 
 Log::SiteId Log::site(std::string_view name, LogLevel level,
                       std::uint32_t max_per_second) {
@@ -258,30 +256,6 @@ void Log::write_at(std::uint64_t t_ns, SiteId id, std::string_view message,
       std::memcpy(slot.msg, message.data(), message.size());
       slot.fields_len = static_cast<std::uint16_t>(fw.len);
       std::memcpy(slot.fields, scratch, fw.len);
-      if (sink_ != nullptr) {
-        // Sized for the worst case: every message/site byte escaping to
-        // \u00xx (6x) plus the pre-escaped fields and fixed framing.
-        char line[2048];
-        BufWriter lw{line, sizeof line};
-        lw.put("{\"t_ns\":");
-        lw.put_u64(slot.t_ns);
-        lw.put(",\"seq\":");
-        lw.put_u64(slot.seq);
-        lw.put(",\"level\":\"");
-        lw.put(log_level_name(slot.level));
-        lw.put("\",\"site\":\"");
-        lw.put_escaped(std::string_view{site.name, site.name_len});
-        lw.put("\",\"thread\":");
-        lw.put_u64(slot.thread);
-        lw.put(",\"msg\":\"");
-        lw.put_escaped(std::string_view{slot.msg, slot.msg_len});
-        lw.put("\",\"fields\":{");
-        lw.put(std::string_view{slot.fields, slot.fields_len});
-        lw.put("}}\n");
-        auto* file = static_cast<std::FILE*>(sink_);
-        std::fwrite(line, 1, lw.len, file);
-        std::fflush(file);
-      }
     }
     emitted_.fetch_add(1, std::memory_order_relaxed);
     if (overwrote) {
@@ -290,25 +264,6 @@ void Log::write_at(std::uint64_t t_ns, SiteId id, std::string_view message,
         MetricsRegistry::global().add(PipelineMetrics::get().log_records_dropped);
       }
     }
-  }
-}
-
-bool Log::open_jsonl_sink(const std::string& path) {
-  if constexpr (kDisabled) return false;
-  std::FILE* file = std::fopen(path.c_str(), "a");
-  if (file == nullptr) return false;
-  const std::lock_guard<std::mutex> lock(ring_mutex_);
-  if (sink_ != nullptr) std::fclose(static_cast<std::FILE*>(sink_));
-  sink_ = file;
-  return true;
-}
-
-void Log::close_sink() {
-  if constexpr (kDisabled) return;
-  const std::lock_guard<std::mutex> lock(ring_mutex_);
-  if (sink_ != nullptr) {
-    std::fclose(static_cast<std::FILE*>(sink_));
-    sink_ = nullptr;
   }
 }
 

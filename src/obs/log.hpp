@@ -14,8 +14,8 @@
 //      budget enforced with one packed CAS (second << 32 | count), so a
 //      retry storm costs a relaxed RMW per suppressed line, not I/O.
 //   3. Records land in a ring (newest overwrite oldest; overwrites are
-//      counted and surfaced via PipelineMetrics) and optionally stream
-//      to a JSONL file sink.  Message/field overflow truncates, never
+//      counted and surfaced via PipelineMetrics); snapshot(), to_jsonl()
+//      and to_json() read it.  Message/field overflow truncates, never
 //      spills.
 //   4. The whole facility compiles out under TZGEO_OBS_DISABLED, like
 //      metrics and traces.
@@ -41,8 +41,6 @@
 namespace tzgeo::obs {
 
 enum class LogLevel : std::uint8_t { kDebug = 0, kInfo = 1, kWarn = 2, kError = 3 };
-
-[[nodiscard]] const char* log_level_name(LogLevel level) noexcept;
 
 /// One typed key/value attachment to a log record.  Built by the
 /// `field()` helpers; keys and string values are borrowed for the
@@ -98,7 +96,6 @@ class Log {
   static constexpr std::uint32_t kDefaultPerSecond = 32;
 
   explicit Log(std::size_t capacity = kDefaultCapacity);
-  ~Log();
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
@@ -141,12 +138,6 @@ class Log {
     runtime_enabled_.store(enabled, std::memory_order_relaxed);
   }
 
-  /// Opens (append) a JSONL streaming sink; every emitted record is
-  /// also written there as one line.  Returns false if the file cannot
-  /// be opened.  Closes any previous sink.
-  bool open_jsonl_sink(const std::string& path);
-  void close_sink();
-
   // --- reads --------------------------------------------------------------
 
   struct RecordView {
@@ -162,7 +153,7 @@ class Log {
 
   /// Retained records, oldest first.
   [[nodiscard]] std::vector<RecordView> snapshot() const;
-  /// Retained records as JSONL text (same shape as the streaming sink).
+  /// Retained records as JSONL text, one object per line.
   [[nodiscard]] std::string to_jsonl() const;
   /// {"records": [...]} for embedding in dumps.
   [[nodiscard]] util::JsonValue to_json() const;
@@ -223,12 +214,11 @@ class Log {
   std::atomic<std::size_t> site_count_{0};
   std::array<Site, kMaxSites> sites_;
 
-  mutable std::mutex ring_mutex_;  ///< guards the ring and the sink
+  mutable std::mutex ring_mutex_;  ///< guards the ring
   std::vector<Record> ring_;       ///< pre-sized to capacity_ at construction
   std::size_t next_ = 0;
   std::size_t retained_ = 0;
   std::uint64_t seq_ = 0;
-  void* sink_ = nullptr;  ///< FILE*, kept opaque to keep <cstdio> out of the header
 
   std::atomic<std::uint8_t> min_level_{static_cast<std::uint8_t>(LogLevel::kInfo)};
   std::atomic<bool> runtime_enabled_{true};

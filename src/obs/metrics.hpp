@@ -219,8 +219,8 @@ class MetricsRegistry {
 [[nodiscard]] std::uint64_t approx_quantile(const HistogramSnapshot& histogram, double q) noexcept;
 
 // --- Prometheus text-exposition helpers ------------------------------------
-// Shared by MetricsRegistry::prometheus() and the time-series recorder's
-// timestamped export; exposed so tests can pin the escaping rules.
+// Used by MetricsRegistry::prometheus(); exposed so tests can pin the
+// escaping rules.
 
 /// Escapes a HELP line payload: backslash and newline get backslash-escaped.
 [[nodiscard]] std::string prometheus_escape_help(std::string_view text);

@@ -97,36 +97,6 @@ std::string TraceBuffer::to_json() const {
   return root.dump(2);
 }
 
-std::string TraceBuffer::to_chrome_trace() const {
-  const std::vector<SpanRecord> spans = snapshot();
-  std::uint64_t epoch = ~std::uint64_t{0};
-  for (const SpanRecord& record : spans) epoch = std::min(epoch, record.start_ns);
-  if (spans.empty()) epoch = 0;
-
-  util::JsonValue events = util::JsonValue::array();
-  for (const SpanRecord& record : spans) {
-    util::JsonValue event = util::JsonValue::object();
-    event.set("name", util::JsonValue::string(record.name));
-    event.set("cat", util::JsonValue::string("tzgeo"));
-    event.set("ph", util::JsonValue::string("X"));
-    event.set("ts", util::JsonValue::number(
-                        static_cast<double>(record.start_ns - epoch) / 1e3));
-    event.set("dur", util::JsonValue::number(
-                         static_cast<double>(record.end_ns - record.start_ns) / 1e3));
-    event.set("pid", util::JsonValue::integer(1));
-    event.set("tid", util::JsonValue::integer(record.thread));
-    util::JsonValue args = util::JsonValue::object();
-    args.set("span", util::JsonValue::integer(static_cast<std::int64_t>(record.id)));
-    args.set("parent", util::JsonValue::integer(static_cast<std::int64_t>(record.parent)));
-    event.set("args", std::move(args));
-    events.push(std::move(event));
-  }
-  util::JsonValue root = util::JsonValue::object();
-  root.set("traceEvents", std::move(events));
-  root.set("displayTimeUnit", util::JsonValue::string("ms"));
-  return root.dump(2);
-}
-
 TraceBuffer& TraceBuffer::global() {
   static TraceBuffer buffer;
   return buffer;

@@ -12,8 +12,9 @@
 // The sink is a fixed-capacity ring buffer guarded by a mutex — spans
 // are stage-granular (tens per pipeline run, not per row), so a lock is
 // simpler and TSan-clean; the hot per-row paths use MetricsRegistry's
-// atomics instead.  Exporters: plain JSON ({"spans": [...]}) and Chrome
-// trace_event format (load the file in chrome://tracing or Perfetto).
+// atomics instead.  One exporter: plain JSON ({"spans": [...]}, times in
+// ns, parent ids) — tzgeo_cli --trace-out and pipeline_bench --trace-out
+// both write it, and tools/tzgeo_obs_check validates it.
 //
 // With kDisabled (see obs/metrics.hpp) ScopedSpan compiles to an empty
 // object and TraceContext::current_span() is constant 0.
@@ -65,10 +66,6 @@ class TraceBuffer {
 
   /// {"spans": [{id, parent, thread, name, start_ns, end_ns}, ...]}.
   [[nodiscard]] std::string to_json() const;
-
-  /// Chrome trace_event JSON: {"traceEvents": [{ph:"X", ...}, ...]}.
-  /// Timestamps are microseconds relative to the earliest retained span.
-  [[nodiscard]] std::string to_chrome_trace() const;
 
   /// The process-wide sink ScopedSpan records into by default.
   static TraceBuffer& global();

@@ -4,8 +4,9 @@
 // The chaos harness (test_chaos.cpp, FleetChaos suite) proves fleet-wide
 // crash equivalence; this suite pins the unit-level contracts: staggered
 // schedule slots, deterministic fair shares, forum quarantine/park
-// transitions, blast-radius containment of a corrupt checkpoint
-// sub-entry, and the content-hash rules of ScrapeManifest/converge().
+// transitions, the per-forum health components, blast-radius containment
+// of a corrupt checkpoint sub-entry, and the content-hash rules of
+// ScrapeManifest/converge().
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -23,6 +24,7 @@
 #include "forum/fleet.hpp"
 #include "forum/io.hpp"
 #include "forum/manifest.hpp"
+#include "obs/health.hpp"
 #include "synth/dataset.hpp"
 #include "synth/region_presets.hpp"
 #include "timezone/civil.hpp"
@@ -349,6 +351,41 @@ TEST(Fleet, DeadForumIsParkedNotFatal) {
     EXPECT_EQ(result.forums[healthy].status, ForumStatus::kActive);
     EXPECT_EQ(result.forums[healthy].dump.polls, kRounds);
     EXPECT_GT(result.forums[healthy].dump.records.size(), 10u);
+  }
+}
+
+TEST(Fleet, HealthReportCoversEveryForumAndTheFleet) {
+  if (obs::kDisabled) GTEST_SKIP() << "obs layer compiled out (TZGEO_OBS_DISABLED)";
+  Env env;
+  env.handlers[1] = [](const tor::Request&, std::int64_t) {
+    return tor::Response{500, "gone forever"};
+  };
+  // Names no other test uses: a failed component stays latched in the
+  // process-wide registry.
+  std::vector<FleetForumSpec> specs = env.specs();
+  for (auto& spec : specs) spec.name = "health-" + spec.name;
+  FleetOptions options = base_options();
+  options.forum_quarantine_after = 3;
+  options.forum_quarantine_cooldown_rounds = 4;
+  options.forum_park_after = 2;
+  Fleet fleet{env.consensus, specs, options};
+  const FleetResult result = fleet.run();
+  ASSERT_EQ(result.forums[1].status, ForumStatus::kParked);
+
+  const obs::Health::Report report = obs::Health::global().report();
+  std::map<std::string, obs::Health::ComponentReport> components;
+  for (const auto& component : report.components) components[component.name] = component;
+  EXPECT_EQ(components.count("forum.fleet"), 1u);
+  for (std::size_t i = 0; i < kForums; ++i) {
+    const auto found = components.find("fleet." + specs[i].name);
+    ASSERT_NE(found, components.end()) << specs[i].name;
+    if (i == 1) {
+      EXPECT_EQ(found->second.state, obs::HealthState::kFailed);
+      EXPECT_EQ(found->second.reason, "parked: re-probes exhausted");
+    } else {
+      EXPECT_NE(found->second.state, obs::HealthState::kFailed) << specs[i].name;
+      EXPECT_GT(found->second.beats, 0u) << specs[i].name;
+    }
   }
 }
 

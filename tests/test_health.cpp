@@ -1,7 +1,8 @@
 // Tests for obs::Health: the starting/idle/ok/stalled/failed verdict
 // rules, the active-work gate (idle is never stalled), the sticky
-// failure latch, and the healthz JSON body.  Private Health instances
-// with explicit beat_at timestamps keep every verdict deterministic.
+// failure latch, name and capacity handling at registration, and the
+// healthz JSON body.  Private Health instances with explicit beat_at
+// timestamps keep every verdict deterministic.
 #include <gtest/gtest.h>
 
 #include <memory>
@@ -38,6 +39,38 @@ TEST(Health, RegistrationIsIdempotentByName) {
   EXPECT_NE(a, Health::kInvalidComponent);
   EXPECT_EQ(a, b);  // found by name; first stall threshold wins
   EXPECT_EQ(health->size(), 1u);
+}
+
+TEST(Health, LongNameFindsItsOwnSlot) {
+  TZGEO_SKIP_IF_OBS_DISABLED();
+  auto health = make_health();
+  // Longer than kNameCapacity: stored cut, and a second call must find
+  // the cut slot instead of taking a new one.
+  const std::string name(Health::kNameCapacity + 18, 'n');
+  const Health::ComponentId a = health->component(name, kStall);
+  const Health::ComponentId b = health->component(name, kStall);
+  EXPECT_NE(a, Health::kInvalidComponent);
+  EXPECT_EQ(a, b);
+  EXPECT_EQ(health->size(), 1u);
+  EXPECT_EQ(health->report(kSecond).components[0].name, name.substr(0, Health::kNameCapacity - 1));
+}
+
+TEST(Health, RefusedRegistrationsAreCounted) {
+  TZGEO_SKIP_IF_OBS_DISABLED();
+  auto health = make_health();
+  for (std::size_t i = 0; i < Health::kMaxComponents; ++i) {
+    EXPECT_NE(health->component("test.fill." + std::to_string(i), kStall),
+              Health::kInvalidComponent);
+  }
+  EXPECT_EQ(health->report(kSecond).refused, 0u);
+  EXPECT_EQ(health->component("test.one_too_many", kStall), Health::kInvalidComponent);
+  // A name already registered is still found when the table is full.
+  EXPECT_EQ(health->component("test.fill.0", kStall), 0u);
+  EXPECT_EQ(health->size(), Health::kMaxComponents);
+  EXPECT_EQ(health->report(kSecond).refused, 1u);
+  EXPECT_EQ(health->to_json(kSecond).find("refused_components")->as_integer(), 1);
+  health->reset();
+  EXPECT_EQ(health->report(kSecond).refused, 0u);
 }
 
 TEST(Health, StartingUntilFirstBeatThenIdle) {
@@ -136,6 +169,7 @@ TEST(Health, HealthzJsonShape) {
   EXPECT_EQ(entry->find("last_beat_age_ms")->as_integer(), 1000);
   EXPECT_EQ(entry->find("stall_after_ms")->as_integer(),
             static_cast<std::int64_t>(kStall / 1'000'000ull));
+  EXPECT_EQ(body.find("refused_components")->as_integer(), 0);
   // The body must round-trip through the parser (it is the future
   // GET /healthz response).
   EXPECT_TRUE(util::JsonValue::parse(body.dump()).has_value());

@@ -1,12 +1,10 @@
 // Tests for obs::Log: site registration, the level gate, the packed-CAS
 // per-site rate limiter, ring retention/overwrite accounting, message and
-// field truncation, JSONL escaping, and the streaming sink.  Private Log
-// instances keep the global ring (which the forum/tor wiring writes to)
-// untouched; write_at() drives the rate-limiter clock deterministically.
+// field truncation, and JSONL escaping.  Private Log instances keep the
+// global ring (which the forum/tor wiring writes to) untouched;
+// write_at() drives the rate-limiter clock deterministically.
 #include <gtest/gtest.h>
 
-#include <cstdio>
-#include <fstream>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -199,33 +197,6 @@ TEST(Log, ToJsonExposesRecordsArray) {
   EXPECT_EQ(entry->find("site")->as_string(), "test.json");
   EXPECT_EQ(entry->find("msg")->as_string(), "boom");
   EXPECT_EQ(entry->find("fields")->find("n")->as_integer(), 1);
-}
-
-TEST(Log, JsonlSinkStreamsRecords) {
-  TZGEO_SKIP_IF_OBS_DISABLED();
-  auto log = make_log();
-  const std::string path =
-      ::testing::TempDir() + "/tzgeo_test_log_sink.jsonl";
-  std::remove(path.c_str());
-  ASSERT_TRUE(log->open_jsonl_sink(path));
-  const Log::SiteId site = log->site("test.sink", LogLevel::kInfo, 0);
-  log->write_at(kSecond, site, "first");
-  log->write_at(2 * kSecond, site, "second");
-  log->close_sink();
-
-  std::ifstream in{path};
-  ASSERT_TRUE(in.good());
-  std::string line;
-  std::vector<std::string> messages;
-  while (std::getline(in, line)) {
-    const auto parsed = util::JsonValue::parse(line);
-    ASSERT_TRUE(parsed.has_value()) << line;
-    messages.push_back(parsed->find("msg")->as_string());
-  }
-  ASSERT_EQ(messages.size(), 2u);
-  EXPECT_EQ(messages[0], "first");
-  EXPECT_EQ(messages[1], "second");
-  std::remove(path.c_str());
 }
 
 TEST(Log, ClearDropsRecordsAndCountersButKeepsSites) {

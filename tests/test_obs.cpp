@@ -381,13 +381,23 @@ TEST(Trace, ExportersEmitWellFormedDocuments) {
     const ScopedSpan outer{"outer", &sink};
     const ScopedSpan inner{"inner", &sink};
   }
-  const std::string json = sink.to_json();
-  EXPECT_NE(json.find("\"spans\""), std::string::npos);
-  EXPECT_NE(json.find("\"outer\""), std::string::npos);
-  const std::string chrome = sink.to_chrome_trace();
-  EXPECT_NE(chrome.find("\"traceEvents\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"ph\""), std::string::npos);
-  EXPECT_NE(chrome.find("\"inner\""), std::string::npos);
+  // The one span format: {"spans": [...]}, ns times, parent ids.
+  const auto doc = util::JsonValue::parse(sink.to_json());
+  ASSERT_TRUE(doc.has_value());
+  const util::JsonValue* spans = doc->find("spans");
+  ASSERT_NE(spans, nullptr);
+  ASSERT_EQ(spans->size(), 2u);
+  // Inner closes first, so it is recorded first.
+  const util::JsonValue& inner = *spans->at(0);
+  const util::JsonValue& outer = *spans->at(1);
+  EXPECT_EQ(inner.find("name")->as_string(), "inner");
+  EXPECT_EQ(outer.find("name")->as_string(), "outer");
+  EXPECT_EQ(inner.find("parent")->as_integer(), outer.find("id")->as_integer());
+  EXPECT_EQ(outer.find("parent")->as_integer(), 0);
+  for (const util::JsonValue* span : {&inner, &outer}) {
+    EXPECT_GE(span->find("end_ns")->as_integer(), span->find("start_ns")->as_integer());
+    EXPECT_NE(span->find("thread"), nullptr);
+  }
 }
 
 TEST(Trace, ThreadIndicesAreDense) {

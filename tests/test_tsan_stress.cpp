@@ -400,7 +400,7 @@ TEST(TsanStress, SpanRecordingRacesSnapshotsCleanly) {
   std::thread reader{[&sink, &stop] {
     while (!stop.load(std::memory_order_acquire)) {
       (void)sink.snapshot();
-      (void)sink.to_chrome_trace();
+      (void)sink.to_json();
     }
   }};
   std::vector<std::thread> tracers;

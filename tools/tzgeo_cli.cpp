@@ -106,8 +106,8 @@ void print_usage() {
       "observability (any command):\n"
       "  --metrics-out FILE   write pipeline metrics on exit; *.json gets a JSON\n"
       "                       document, anything else Prometheus text exposition\n"
-      "  --trace-out FILE     write the span trace in Chrome trace_event JSON\n"
-      "                       (open in chrome://tracing or https://ui.perfetto.dev)\n"
+      "  --trace-out FILE     write the span trace as JSON: {\"spans\": [...]} with\n"
+      "                       ns start/end times and parent span ids\n"
       "  --healthz-out FILE   write the component health report (healthz JSON)\n");
 }
 
@@ -339,8 +339,8 @@ void write_file_or_die(const std::string& path, const std::string& content) {
 
 /// Writes --metrics-out / --trace-out / --healthz-out files after the
 /// command ran.  Metrics: JSON when the filename ends in .json,
-/// Prometheus text exposition otherwise.  Trace: Chrome trace_event
-/// JSON.  Healthz: the obs::Health machine-readable report.
+/// Prometheus text exposition otherwise.  Trace: TraceBuffer::to_json
+/// ({"spans": [...]}).  Healthz: the obs::Health machine-readable report.
 void write_obs_outputs(const Args& args) {
   const std::string metrics_path = args.get("metrics-out");
   if (!metrics_path.empty()) {
@@ -353,8 +353,8 @@ void write_obs_outputs(const Args& args) {
   }
   const std::string trace_path = args.get("trace-out");
   if (!trace_path.empty()) {
-    write_file_or_die(trace_path, obs::TraceBuffer::global().to_chrome_trace() + "\n");
-    std::fprintf(stderr, "wrote chrome trace to %s\n", trace_path.c_str());
+    write_file_or_die(trace_path, obs::TraceBuffer::global().to_json() + "\n");
+    std::fprintf(stderr, "wrote span trace to %s\n", trace_path.c_str());
   }
   const std::string healthz_path = args.get("healthz-out");
   if (!healthz_path.empty()) {

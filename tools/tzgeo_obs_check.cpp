@@ -2,182 +2,34 @@
 //
 //   tzgeo_obs_check --metrics FILE.json --trace FILE.json
 //
-// Validates that the --metrics-out JSON parses, exposes a {"metrics": [...]}
-// array whose entries carry name/kind/value (or buckets/sum/count), and
-// contains the documented tzgeo_<layer>_* names; and that the --trace-out
-// file is well-formed Chrome trace_event JSON with the five pipeline stage
-// spans (ingest, profiles, filter, placement, gmm).  CI runs this against a
-// fresh `tzgeo_cli demo` dump so a renamed metric or a dropped span fails
-// the release job, not a dashboard three weeks later.
+// Parses both files with util::JsonValue and checks the documents:
 //
-// util::json is a writer, so this tool carries its own small recursive-
-// descent JSON scanner — validation only, no DOM: it confirms syntactic
-// well-formedness and leaves content checks to substring probes against
-// the (already validated) text.
-#include <cctype>
+//   metrics  {"metrics": [...]}; every entry carries a name, a kind, and
+//            a value (counter/gauge) or buckets/sum/count (histogram);
+//            the documented tzgeo_<layer>_* names are all present.
+//   trace    {"spans": [...]} (TraceBuffer::to_json); every span has an
+//            id, a name and end_ns >= start_ns; every non-zero parent
+//            names a retained span; the five pipeline stage spans
+//            (ingest, profiles, filter, placement, gmm) are present.
+//
+// CI runs this against a fresh `tzgeo_cli demo` dump so a renamed metric
+// or a dropped span fails the release job, not a dashboard three weeks
+// later.
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
+#include <optional>
+#include <set>
 #include <sstream>
 #include <string>
 #include <string_view>
-#include <vector>
+
+#include "util/json.hpp"
 
 namespace {
 
-/// Minimal validating JSON scanner (RFC 8259 grammar, no semantics).
-class JsonValidator {
- public:
-  explicit JsonValidator(std::string_view text) : text_(text) {}
-
-  /// True when the whole input is exactly one valid JSON value.
-  [[nodiscard]] bool valid() {
-    skip_ws();
-    if (!value()) return false;
-    skip_ws();
-    return pos_ == text_.size();
-  }
-
- private:
-  [[nodiscard]] bool value() {
-    if (pos_ >= text_.size()) return false;
-    switch (text_[pos_]) {
-      case '{':
-        return object();
-      case '[':
-        return array();
-      case '"':
-        return string();
-      case 't':
-        return literal("true");
-      case 'f':
-        return literal("false");
-      case 'n':
-        return literal("null");
-      default:
-        return number();
-    }
-  }
-
-  [[nodiscard]] bool object() {
-    ++pos_;  // '{'
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (peek() != '"' || !string()) return false;
-      skip_ws();
-      if (peek() != ':') return false;
-      ++pos_;
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == '}') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  [[nodiscard]] bool array() {
-    ++pos_;  // '['
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return true;
-    }
-    for (;;) {
-      skip_ws();
-      if (!value()) return false;
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      if (peek() == ']') {
-        ++pos_;
-        return true;
-      }
-      return false;
-    }
-  }
-
-  [[nodiscard]] bool string() {
-    ++pos_;  // opening quote
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c == '"') {
-        ++pos_;
-        return true;
-      }
-      if (c == '\\') {
-        ++pos_;
-        if (pos_ >= text_.size()) return false;
-        const char esc = text_[pos_];
-        if (esc == 'u') {
-          for (int i = 0; i < 4; ++i) {
-            ++pos_;
-            if (pos_ >= text_.size() ||
-                std::isxdigit(static_cast<unsigned char>(text_[pos_])) == 0) {
-              return false;
-            }
-          }
-        } else if (std::string_view{"\"\\/bfnrt"}.find(esc) == std::string_view::npos) {
-          return false;
-        }
-      } else if (static_cast<unsigned char>(c) < 0x20) {
-        return false;  // raw control character
-      }
-      ++pos_;
-    }
-    return false;  // unterminated
-  }
-
-  [[nodiscard]] bool number() {
-    const std::size_t start = pos_;
-    if (peek() == '-') ++pos_;
-    if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-    while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    if (peek() == '.') {
-      ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    if (peek() == 'e' || peek() == 'E') {
-      ++pos_;
-      if (peek() == '+' || peek() == '-') ++pos_;
-      if (std::isdigit(static_cast<unsigned char>(peek())) == 0) return false;
-      while (std::isdigit(static_cast<unsigned char>(peek())) != 0) ++pos_;
-    }
-    return pos_ > start;
-  }
-
-  [[nodiscard]] bool literal(std::string_view word) {
-    if (text_.compare(pos_, word.size(), word) != 0) return false;
-    pos_ += word.size();
-    return true;
-  }
-
-  [[nodiscard]] char peek() const { return pos_ < text_.size() ? text_[pos_] : '\0'; }
-
-  void skip_ws() {
-    while (pos_ < text_.size()) {
-      const char c = text_[pos_];
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++pos_;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
+using tzgeo::util::JsonValue;
 
 [[nodiscard]] std::string read_file(const std::string& path) {
   std::ifstream in{path, std::ios::binary};
@@ -205,26 +57,62 @@ constexpr const char* kRequiredMetrics[] = {
 /// Stage spans the acceptance criteria require in a demo/analyze trace.
 constexpr const char* kRequiredSpans[] = {"ingest", "profiles", "filter", "placement", "gmm"};
 
-[[nodiscard]] int check_metrics(const std::string& path) {
-  const std::string text = read_file(path);
-  int failures = 0;
-  if (!JsonValidator{text}.valid()) {
+/// Parses `path` and returns its top-level `key` array, or reports why not.
+[[nodiscard]] std::optional<JsonValue> load_array(const std::string& path, std::string_view key) {
+  std::optional<JsonValue> doc = JsonValue::parse(read_file(path));
+  if (!doc) {
     std::fprintf(stderr, "FAIL %s: not valid JSON\n", path.c_str());
-    return 1;
+    return std::nullopt;
   }
-  if (text.find("\"metrics\"") == std::string::npos) {
-    std::fprintf(stderr, "FAIL %s: missing top-level \"metrics\" array\n", path.c_str());
-    ++failures;
+  const JsonValue* array = doc->find(key);
+  if (array == nullptr || !array->is_array()) {
+    std::fprintf(stderr, "FAIL %s: missing top-level \"%.*s\" array\n", path.c_str(),
+                 static_cast<int>(key.size()), key.data());
+    return std::nullopt;
   }
-  for (const char* name : kRequiredMetrics) {
-    if (text.find("\"" + std::string{name} + "\"") == std::string::npos) {
-      std::fprintf(stderr, "FAIL %s: metric %s not present\n", path.c_str(), name);
+  return *array;
+}
+
+[[nodiscard]] bool is_string_field(const JsonValue& entry, std::string_view key) {
+  const JsonValue* value = entry.find(key);
+  return value != nullptr && value->is_string() && !value->as_string().empty();
+}
+
+[[nodiscard]] bool is_number_field(const JsonValue& entry, std::string_view key) {
+  const JsonValue* value = entry.find(key);
+  return value != nullptr && value->is_number();
+}
+
+[[nodiscard]] int check_metrics(const std::string& path) {
+  const std::optional<JsonValue> metrics = load_array(path, "metrics");
+  if (!metrics) return 1;
+  int failures = 0;
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < metrics->size(); ++i) {
+    const JsonValue& entry = *metrics->at(i);
+    if (!is_string_field(entry, "name") || !is_string_field(entry, "kind")) {
+      std::fprintf(stderr, "FAIL %s: metrics[%zu] lacks a name or kind\n", path.c_str(), i);
+      ++failures;
+      continue;
+    }
+    const std::string& name = entry.find("name")->as_string();
+    const std::string& kind = entry.find("kind")->as_string();
+    names.insert(name);
+    bool complete = is_number_field(entry, "value");
+    if (kind == "histogram") {
+      const JsonValue* buckets = entry.find("buckets");
+      complete = buckets != nullptr && buckets->is_array() && is_number_field(entry, "sum") &&
+                 is_number_field(entry, "count");
+    }
+    if (!complete) {
+      std::fprintf(stderr, "FAIL %s: %s (%s) lacks its value fields\n", path.c_str(),
+                   name.c_str(), kind.c_str());
       ++failures;
     }
   }
-  for (const char* key : {"\"kind\"", "\"value\"", "\"buckets\"", "\"sum\"", "\"count\""}) {
-    if (text.find(key) == std::string::npos) {
-      std::fprintf(stderr, "FAIL %s: no %s field anywhere\n", path.c_str(), key);
+  for (const char* name : kRequiredMetrics) {
+    if (names.count(name) == 0) {
+      std::fprintf(stderr, "FAIL %s: metric %s not present\n", path.c_str(), name);
       ++failures;
     }
   }
@@ -232,25 +120,41 @@ constexpr const char* kRequiredSpans[] = {"ingest", "profiles", "filter", "place
 }
 
 [[nodiscard]] int check_trace(const std::string& path) {
-  const std::string text = read_file(path);
+  const std::optional<JsonValue> spans = load_array(path, "spans");
+  if (!spans) return 1;
   int failures = 0;
-  if (!JsonValidator{text}.valid()) {
-    std::fprintf(stderr, "FAIL %s: not valid JSON\n", path.c_str());
-    return 1;
+  std::set<std::int64_t> ids;
+  std::set<std::int64_t> parents;
+  std::set<std::string> names;
+  for (std::size_t i = 0; i < spans->size(); ++i) {
+    const JsonValue& span = *spans->at(i);
+    if (!is_number_field(span, "id") || !is_number_field(span, "parent") ||
+        !is_string_field(span, "name") || !is_number_field(span, "start_ns") ||
+        !is_number_field(span, "end_ns")) {
+      std::fprintf(stderr, "FAIL %s: spans[%zu] lacks id/parent/name/start_ns/end_ns\n",
+                   path.c_str(), i);
+      ++failures;
+      continue;
+    }
+    ids.insert(span.find("id")->as_integer());
+    parents.insert(span.find("parent")->as_integer());
+    names.insert(span.find("name")->as_string());
+    if (span.find("end_ns")->as_integer() < span.find("start_ns")->as_integer()) {
+      std::fprintf(stderr, "FAIL %s: span %lld (%s) ends before it starts\n", path.c_str(),
+                   static_cast<long long>(span.find("id")->as_integer()),
+                   span.find("name")->as_string().c_str());
+      ++failures;
+    }
   }
-  if (text.find("\"traceEvents\"") == std::string::npos) {
-    std::fprintf(stderr, "FAIL %s: missing \"traceEvents\" array\n", path.c_str());
-    ++failures;
-  }
-  for (const char* key : {"\"ph\"", "\"ts\"", "\"dur\"", "\"pid\"", "\"tid\""}) {
-    if (text.find(key) == std::string::npos) {
-      std::fprintf(stderr, "FAIL %s: trace events missing %s\n", path.c_str(), key);
+  for (const std::int64_t parent : parents) {
+    if (parent != 0 && ids.count(parent) == 0) {
+      std::fprintf(stderr, "FAIL %s: parent span %lld is not in the trace\n", path.c_str(),
+                   static_cast<long long>(parent));
       ++failures;
     }
   }
   for (const char* span : kRequiredSpans) {
-    if (text.find("\"name\": \"" + std::string{span} + "\"") == std::string::npos &&
-        text.find("\"name\":\"" + std::string{span} + "\"") == std::string::npos) {
+    if (names.count(span) == 0) {
       std::fprintf(stderr, "FAIL %s: span \"%s\" not present\n", path.c_str(), span);
       ++failures;
     }
