@@ -2,33 +2,24 @@
 
 #include <algorithm>
 
-#include "util/rng.hpp"
-
 namespace tzgeo::core {
 
-std::uint64_t user_id_of(std::string_view identity) noexcept { return util::hash64(identity); }
-
 void ActivityTrace::add(std::uint64_t user, tz::UtcSeconds time) {
-  events_[intern_user(user)].push_back(time);
+  const std::uint32_t handle = ids_.intern(user);
+  if (handle == events_.size()) events_.emplace_back();
+  events_[handle].push_back(time);
   ++total_;
 }
 
-std::uint32_t ActivityTrace::intern_user(std::uint64_t user) {
+void ActivityTrace::adopt(std::uint64_t user, std::vector<tz::UtcSeconds>&& events) {
   const std::uint32_t handle = ids_.intern(user);
-  if (handle == events_.size()) events_.emplace_back();
-  return handle;
-}
-
-void ActivityTrace::add_batch(const std::vector<Event>& batch) {
-  std::vector<std::uint32_t> counts(events_.size(), 0);
-  for (const Event& event : batch) ++counts[event.handle];
-  for (std::size_t handle = 0; handle < events_.size(); ++handle) {
-    if (counts[handle] != 0) {
-      events_[handle].reserve(events_[handle].size() + counts[handle]);
-    }
+  total_ += events.size();
+  if (handle == events_.size()) {
+    events_.push_back(std::move(events));
+  } else {
+    auto& dst = events_[handle];
+    dst.insert(dst.end(), events.begin(), events.end());
   }
-  for (const Event& event : batch) events_[event.handle].push_back(event.time);
-  total_ += batch.size();
 }
 
 void ActivityTrace::add(std::string_view identity, tz::UtcSeconds time) {
@@ -56,22 +47,6 @@ ActivityTrace::UsersView ActivityTrace::users() const {
 void ActivityTrace::reserve(std::size_t n) {
   ids_.reserve(n);
   events_.reserve(n);
-}
-
-void ActivityTrace::absorb(ActivityTrace&& other) {
-  const auto& keys = other.ids_.keys();
-  for (std::size_t handle = 0; handle < keys.size(); ++handle) {
-    const std::uint32_t mine = ids_.intern(keys[handle]);
-    auto& src = other.events_[handle];
-    if (mine == events_.size()) {
-      events_.push_back(std::move(src));
-    } else {
-      auto& dst = events_[mine];
-      dst.insert(dst.end(), src.begin(), src.end());
-    }
-  }
-  total_ += other.total_;
-  other = ActivityTrace{};
 }
 
 ActivityTrace ActivityTrace::window(tz::UtcSeconds from, tz::UtcSeconds to) const {

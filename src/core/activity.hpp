@@ -22,11 +22,15 @@
 
 #include "timezone/civil.hpp"
 #include "util/handle_table.hpp"
+#include "util/rng.hpp"
 
 namespace tzgeo::core {
 
 /// Stable user id derived from a string identity (forum handle, nickname).
-[[nodiscard]] std::uint64_t user_id_of(std::string_view identity) noexcept;
+/// Inline: ingest derives one per CSV row.
+[[nodiscard]] inline std::uint64_t user_id_of(std::string_view identity) noexcept {
+  return util::hash64(identity);
+}
 
 /// Per-user activity instants.
 class ActivityTrace {
@@ -68,27 +72,15 @@ class ActivityTrace {
     std::vector<Entry> entries_;
   };
 
-  /// One (user handle, instant) pair of a batched append; see add_batch.
-  struct Event {
-    tz::UtcSeconds time;
-    std::uint32_t handle;
-  };
-
   /// Records one activity event.
   void add(std::uint64_t user, tz::UtcSeconds time);
   /// Convenience for string identities.
   void add(std::string_view identity, tz::UtcSeconds time);
 
-  /// Interns `user` without recording an event, allocating its (empty)
-  /// event slot.  The returned dense handle is the currency of add_batch.
-  std::uint32_t intern_user(std::uint64_t user);
-
-  /// Appends many events at once, preserving batch order per user — so a
-  /// batch accumulated in text order reproduces exactly what per-row
-  /// add() calls would build.  Two counted passes (exact reserve, then
-  /// scatter) replace the per-event capacity growth: the ingest hot path
-  /// pays one allocation per user instead of one per doubling.
-  void add_batch(const std::vector<Event>& batch);
+  /// Appends `events` to `user`'s events, taking the vector whole when the
+  /// user is new — how ingest hands over users it grouped elsewhere, with
+  /// no per-event work.
+  void adopt(std::uint64_t user, std::vector<tz::UtcSeconds>&& events);
 
   /// Number of distinct users.
   [[nodiscard]] std::size_t user_count() const noexcept { return ids_.size(); }
@@ -106,12 +98,6 @@ class ActivityTrace {
 
   /// Pre-sizes the handle table and event arena for `n` distinct users.
   void reserve(std::size_t n);
-
-  /// Merges `other` into this trace, appending each user's events after
-  /// this trace's.  Merging chunk-local traces in chunk order therefore
-  /// reproduces the exact per-user event order of a serial scan.  `other`
-  /// is left empty.
-  void absorb(ActivityTrace&& other);
 
   /// Keeps only events in [from, to) — used for the seasonal splits of the
   /// hemisphere analysis.  Returns the filtered copy.

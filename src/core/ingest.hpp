@@ -12,13 +12,14 @@
 // defensive — a scrape of the wild web always contains junk rows, which
 // are counted rather than fatal.
 //
-// The importer streams: a util::CsvScanner yields zero-copy field views
-// (no per-row string materialization), timestamps go through a fixed
-// format parser instead of sscanf, and large inputs are split at
-// quote-aware row boundaries and parsed on the shared thread pool.
-// Chunk results merge in chunk order, so the output — trace contents,
-// per-user event order, counters, and thrown errors — is bit-identical
-// to a serial scan for every thread count.
+// The importer streams: the structural util::CsvScanner yields zero-copy
+// field views, timestamps take a fixed-position fast path before the
+// general parser, and large inputs are split at quote-aware row
+// boundaries.  Chunks scan on the shared thread pool into (user id, time)
+// pairs partitioned by id; each partition is then grouped by user on the
+// pool, reading chunks in text order, and the trace adopts the groups.
+// The output — users, per-user event order, counters, and thrown
+// errors — is the serial scan's for every thread count.
 #pragma once
 
 #include <iosfwd>

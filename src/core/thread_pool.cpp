@@ -126,4 +126,6 @@ ThreadPool& ThreadPool::global() {
   return pool;
 }
 
+void ThreadPool::register_health() { (void)pool_health(); }
+
 }  // namespace tzgeo::core

@@ -55,6 +55,12 @@ class ThreadPool {
   /// first use and kept alive for the process lifetime.
   static ThreadPool& global();
 
+  /// Registers the pools' liveness component ("core.thread_pool") with
+  /// obs::Health::global() now instead of at first use.  A caller that is
+  /// about to fill the health table (a large forum::Fleet) calls it first,
+  /// so this component is not the one refused.
+  static void register_health();
+
  private:
   /// One parallel region.  Heap-allocated and shared so a worker that
   /// wakes late (or finishes last) can never race a subsequent job's

@@ -136,9 +136,12 @@ Fleet::Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
   }
   rounds_total_ =
       static_cast<std::size_t>(options_.duration_seconds / options_.poll_interval_seconds) + 1;
-  // The fleet component first: a large fleet fills the health table with
-  // its per-forum components below, and this one must not be the one
-  // refused.
+  // The shared components first: a large fleet fills the health table
+  // with its per-forum components below, and neither the fleet's own nor
+  // the pool's and transports' (which register lazily, at first use) may
+  // be the ones refused.
+  core::ThreadPool::register_health();
+  tor::OnionTransport::register_health();
   (void)fleet_health();
 
   const std::size_t count = specs.size();

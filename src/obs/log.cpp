@@ -128,18 +128,23 @@ Log::Log(std::size_t capacity) : capacity_(capacity == 0 ? 1 : capacity) {
 Log::SiteId Log::site(std::string_view name, LogLevel level,
                       std::uint32_t max_per_second) {
   if constexpr (kDisabled) return kInvalidSite;
+  // Stored names are cut to the slot capacity; compare them cut the same
+  // way, or a long name would take a fresh slot on every call.
+  name = name.substr(0, kSiteNameCapacity - 1);
   const std::lock_guard<std::mutex> lock(site_mutex_);
   const std::size_t count = site_count_.load(std::memory_order_relaxed);
   for (std::size_t i = 0; i < count; ++i) {
     const Site& s = sites_[i];
     if (std::string_view{s.name, s.name_len} == name) return static_cast<SiteId>(i);
   }
-  if (count >= kMaxSites) return kInvalidSite;
+  if (count >= kMaxSites) {
+    refused_sites_.fetch_add(1, std::memory_order_relaxed);
+    return kInvalidSite;
+  }
   Site& s = sites_[count];
-  const std::size_t n = std::min(name.size(), kSiteNameCapacity - 1);
-  std::memcpy(s.name, name.data(), n);
-  s.name[n] = '\0';
-  s.name_len = static_cast<std::uint8_t>(n);
+  std::memcpy(s.name, name.data(), name.size());
+  s.name[name.size()] = '\0';
+  s.name_len = static_cast<std::uint8_t>(name.size());
   s.level = level;
   s.max_per_second = max_per_second;
   s.window.store(0, std::memory_order_relaxed);

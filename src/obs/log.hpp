@@ -99,9 +99,11 @@ class Log {
   Log(const Log&) = delete;
   Log& operator=(const Log&) = delete;
 
-  /// Registers (or finds, by exact name) a diagnostic site.  Slow path;
-  /// call once and keep the id.  `max_per_second` == 0 disables the
-  /// rate limit.  Returns kInvalidSite past capacity.
+  /// Registers (or finds, by name) a diagnostic site.  Slow path; call
+  /// once and keep the id.  Names are cut to kSiteNameCapacity - 1 bytes,
+  /// so two names that agree that far are one site.  `max_per_second` ==
+  /// 0 disables the rate limit.  Past kMaxSites, returns kInvalidSite and
+  /// counts the refusal in refused_sites().
   SiteId site(std::string_view name, LogLevel level,
               std::uint32_t max_per_second = kDefaultPerSecond);
 
@@ -174,6 +176,12 @@ class Log {
     return suppressed_rate_.load(std::memory_order_relaxed);
   }
 
+  /// Site registrations refused past kMaxSites (kept by clear(), like
+  /// the sites themselves).
+  [[nodiscard]] std::uint64_t refused_sites() const noexcept {
+    return refused_sites_.load(std::memory_order_relaxed);
+  }
+
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t retained() const;
 
@@ -212,6 +220,7 @@ class Log {
 
   mutable std::mutex site_mutex_;  ///< guards site registration metadata
   std::atomic<std::size_t> site_count_{0};
+  std::atomic<std::uint64_t> refused_sites_{0};
   std::array<Site, kMaxSites> sites_;
 
   mutable std::mutex ring_mutex_;  ///< guards the ring

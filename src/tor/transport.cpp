@@ -36,6 +36,8 @@ obs::Log::SiteId retries_exhausted_site() {
 
 }  // namespace
 
+void OnionTransport::register_health() { (void)transport_health(); }
+
 OnionTransport::OnionTransport(const Consensus& consensus, util::SimClock& clock,
                                std::uint64_t seed, TransportOptions options)
     : consensus_(consensus),

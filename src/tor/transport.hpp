@@ -93,6 +93,12 @@ class OnionTransport {
   OnionTransport(const Consensus& consensus, const BridgeSet& bridges, util::SimClock& clock,
                  std::uint64_t seed, TransportOptions options = {});
 
+  /// Registers the transports' liveness component ("tor.transport") with
+  /// obs::Health::global() now instead of at first fetch.  A caller that
+  /// is about to fill the health table (a large forum::Fleet) calls it
+  /// first, so this component is not the one refused.
+  static void register_health();
+
   /// Hosts a service: runs the setup protocol of Section II-B and maps the
   /// resulting onion address to `handler`.  Returns the onion address.
   std::string host(std::uint64_t service_key, ServiceHandler handler);

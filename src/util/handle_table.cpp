@@ -10,8 +10,10 @@ constexpr std::size_t kInitialBuckets = 16;
 
 std::uint32_t HandleTable::insert(std::uint64_t key) {
   if (buckets_.empty()) grow(kInitialBuckets);
-  // Keep the load factor under ~0.75 so probe chains stay short.
-  if ((keys_.size() + 1) * 4 > buckets_.size() * 3) grow(buckets_.size() * 2);
+  // Keep the load factor at or under 1/2: linear-probing chains stay one
+  // or two buckets long, which is most of a lookup's cost on the ingest
+  // grouping pass.
+  if ((keys_.size() + 1) * 2 > buckets_.size()) grow(buckets_.size() * 2);
   std::size_t slot = mix(key) & mask_;
   while (buckets_[slot] != npos) slot = (slot + 1) & mask_;
   const auto handle = static_cast<std::uint32_t>(keys_.size());
@@ -23,7 +25,7 @@ std::uint32_t HandleTable::insert(std::uint64_t key) {
 void HandleTable::reserve(std::size_t n) {
   keys_.reserve(n);
   std::size_t buckets = kInitialBuckets;
-  while (buckets * 3 < n * 4) buckets *= 2;
+  while (buckets < n * 2) buckets *= 2;
   if (buckets > buckets_.size()) grow(buckets);
 }
 

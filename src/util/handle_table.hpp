@@ -63,7 +63,7 @@ class HandleTable {
   /// Open-addressing bucket count (power of two; 0 before first insert).
   [[nodiscard]] std::size_t bucket_count() const noexcept { return buckets_.size(); }
 
-  /// Occupied fraction of the bucket array in [0, 1).  0 when empty.
+  /// Occupied fraction of the bucket array, at most 1/2.  0 when empty.
   [[nodiscard]] double load_factor() const noexcept {
     return buckets_.empty()
                ? 0.0

@@ -76,31 +76,26 @@ TEST(ActivityTrace, UsersViewEventsInInsertionOrder) {
   }
 }
 
-TEST(ActivityTrace, AbsorbMergesInArgumentOrder) {
-  ActivityTrace left;
-  left.add(1, 10);
-  left.add(2, 20);
-  ActivityTrace right;
-  right.add(2, 21);  // existing user: events append after left's
-  right.add(3, 30);  // new user: handle allocated after left's users
-  left.absorb(std::move(right));
-  EXPECT_EQ(left.user_count(), 3u);
-  EXPECT_EQ(left.event_count(), 4u);
-  const auto& merged = left.events_of(2);
-  ASSERT_EQ(merged.size(), 2u);
-  EXPECT_EQ(merged[0], 20);
-  EXPECT_EQ(merged[1], 21);
-  EXPECT_EQ(left.events_of(3).front(), 30);
+TEST(ActivityTrace, AdoptAppendsAfterExistingEvents) {
+  ActivityTrace trace;
+  trace.add(1, 10);
+  trace.add(2, 20);
+  trace.adopt(2, std::vector<tz::UtcSeconds>{21, 22});  // existing user: appended
+  trace.adopt(3, std::vector<tz::UtcSeconds>{30});      // new user
+  EXPECT_EQ(trace.user_count(), 3u);
+  EXPECT_EQ(trace.event_count(), 5u);
+  const std::vector<tz::UtcSeconds> expected = {20, 21, 22};
+  EXPECT_EQ(trace.events_of(2), expected);
+  EXPECT_EQ(trace.events_of(3).front(), 30);
 }
 
-TEST(ActivityTrace, AbsorbLeavesSourceEmpty) {
-  ActivityTrace left;
-  ActivityTrace right;
-  right.add(7, 70);
-  left.absorb(std::move(right));
-  EXPECT_EQ(left.event_count(), 1u);
-  EXPECT_EQ(right.event_count(), 0u);  // NOLINT(bugprone-use-after-move)
-  EXPECT_EQ(right.user_count(), 0u);
+TEST(ActivityTrace, AdoptTakesANewUsersVectorWhole) {
+  ActivityTrace trace;
+  std::vector<tz::UtcSeconds> events = {70, 71, 72};
+  const tz::UtcSeconds* storage = events.data();
+  trace.adopt(7, std::move(events));
+  EXPECT_EQ(trace.event_count(), 3u);
+  EXPECT_EQ(trace.events_of(7).data(), storage);  // moved, not copied
 }
 
 TEST(ActivityTrace, EventCountIsTotalAcrossUsers) {

@@ -361,9 +361,21 @@ TEST(Fleet, HealthReportCoversEveryForumAndTheFleet) {
     return tor::Response{500, "gone forever"};
   };
   // Names no other test uses: a failed component stays latched in the
-  // process-wide registry.
+  // process-wide registry.  The three scripted forums lead an 80-forum
+  // fleet, more than the 64-slot health table holds.
   std::vector<FleetForumSpec> specs = env.specs();
   for (auto& spec : specs) spec.name = "health-" + spec.name;
+  constexpr std::size_t kLargeFleet = 80;
+  for (std::size_t i = kForums; i < kLargeFleet; ++i) {
+    FleetForumSpec spec;
+    spec.name = "health-extra-" + std::to_string(i);
+    auto* const handler = &env.handlers[i % 2 == 0 ? 0 : 2];  // healthy forums only
+    spec.handler = [handler](const tor::Request& request, std::int64_t now) {
+      return (*handler)(request, now);
+    };
+    spec.service_key = 10 + i;
+    specs.push_back(std::move(spec));
+  }
   FleetOptions options = base_options();
   options.forum_quarantine_after = 3;
   options.forum_quarantine_cooldown_rounds = 4;
@@ -376,6 +388,10 @@ TEST(Fleet, HealthReportCoversEveryForumAndTheFleet) {
   std::map<std::string, obs::Health::ComponentReport> components;
   for (const auto& component : report.components) components[component.name] = component;
   EXPECT_EQ(components.count("forum.fleet"), 1u);
+  // The lazily registered shared components survive the full table.
+  EXPECT_EQ(components.count("core.thread_pool"), 1u);
+  EXPECT_EQ(components.count("tor.transport"), 1u);
+  EXPECT_GT(report.refused, 0u);
   for (std::size_t i = 0; i < kForums; ++i) {
     const auto found = components.find("fleet." + specs[i].name);
     ASSERT_NE(found, components.end()) << specs[i].name;

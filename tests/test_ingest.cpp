@@ -4,9 +4,34 @@
 
 #include <cstdio>
 #include <fstream>
+#include <random>
+#include <string>
+#include <vector>
+
+#include "util/strings.hpp"
 
 namespace tzgeo::core {
 namespace {
+
+/// The general timestamp path on its own — trim, integer epoch, then the
+/// sscanf-compatible civil parser with its trailing-byte rule — which the
+/// fixed-position fast path inside parse_utc_timestamp must agree with.
+std::optional<tz::UtcSeconds> general_timestamp(std::string_view text) {
+  text = util::trim(text);
+  if (const auto epoch = util::parse_int(text)) return *epoch;
+  std::size_t used = 0;
+  const auto dt = tz::parse_civil_datetime(text, &used);
+  if (!dt) return std::nullopt;
+  std::size_t pos = used;
+  while (pos < text.size() && (text[pos] == ' ' || text[pos] == '\t')) ++pos;
+  if (pos < text.size() && text[pos] == 'Z') ++pos;
+  if (pos < text.size() && text[pos] != '\0') return std::nullopt;
+  return tz::to_utc_seconds(*dt);
+}
+
+void expect_matches_general(const std::string& text) {
+  EXPECT_EQ(parse_utc_timestamp(text), general_timestamp(text)) << "input: \"" << text << '"';
+}
 
 TEST(TraceFromCsv, HeaderAndEpochSeconds) {
   const auto result = trace_from_csv("author,utc_time\nwolf,1451606400\nwolf,1451610000\n");
@@ -90,6 +115,84 @@ TEST(ParseUtcTimestamp, NegativeEpochSeconds) {
   EXPECT_EQ(parse_utc_timestamp("-86400"), -86400);
   EXPECT_EQ(parse_utc_timestamp("1969-12-31 00:00:00"), -86400);
   EXPECT_EQ(parse_utc_timestamp("0"), 0);
+}
+
+TEST(ParseUtcTimestamp, FastPathMatchesGeneralPathAtEveryPosition) {
+  // Each canonical string mutated at each of its 19 positions: replaced
+  // by every byte class that matters, deleted, and with a byte inserted.
+  const std::string replacements = std::string{"0159-: TZ/+\t\x80\xFF" "a"} + '\0';
+  for (const std::string canonical :
+       {"2016-05-12 18:03:44", "1999-12-31 23:59:59", "2000-02-29 00:00:00", "0000-01-01 00:00:00"}) {
+    expect_matches_general(canonical);
+    for (std::size_t at = 0; at < canonical.size(); ++at) {
+      for (const char c : replacements) {
+        std::string mutated = canonical;
+        mutated[at] = c;
+        expect_matches_general(mutated);
+        std::string inserted = canonical;
+        inserted.insert(inserted.begin() + static_cast<std::ptrdiff_t>(at), c);
+        expect_matches_general(inserted);
+      }
+      std::string deleted = canonical;
+      deleted.erase(at, 1);
+      expect_matches_general(deleted);
+    }
+  }
+}
+
+TEST(ParseUtcTimestamp, FastPathMatchesGeneralPathAtFieldLimits) {
+  // Each field at its maximum and one past it (and at zero).
+  for (const std::string text :
+       {"9999-12-31 23:59:59", "0000-01-01 00:00:00", "2016-12-01 00:00:00",
+        "2016-13-01 00:00:00", "2016-00-01 00:00:00", "2016-01-31 00:00:00",
+        "2016-01-32 00:00:00", "2016-04-30 00:00:00", "2016-04-31 00:00:00",
+        "2016-01-00 00:00:00", "2016-01-01 23:00:00", "2016-01-01 24:00:00",
+        "2016-01-01 00:59:00", "2016-01-01 00:60:00", "2016-01-01 00:00:59",
+        "2016-01-01 00:00:60", "2016-01-01 99:99:99", "10000-01-01 00:00:00"}) {
+    expect_matches_general(text);
+  }
+  // Feb 29 across the leap-year rules.
+  for (const std::string text : {"1900-02-29 12:00:00", "2000-02-29 12:00:00",
+                                 "2016-02-29 12:00:00", "2017-02-29 12:00:00",
+                                 "2017-02-28 12:00:00"}) {
+    expect_matches_general(text);
+  }
+  // Trailing designator, whitespace, NUL or a 20th digit; a leading space
+  // or a sign.
+  for (const std::string& text : std::vector<std::string>{
+           "2016-05-12 18:03:44Z", "2016-05-12 18:03:44 ", "2016-05-12 18:03:44\t",
+        std::string{"2016-05-12 18:03:44"} + '\0', "2016-05-12 18:03:001",
+        " 2016-05-12 18:03:44", "+2016-05-12 18:03:44", "-2016-05-12 18:03:44",
+        "2016-05-12 18:03:4", "2016-05-12T18:03:44"}) {
+    expect_matches_general(text);
+  }
+}
+
+TEST(ParseUtcTimestamp, FastPathMatchesGeneralPathOnEpochs) {
+  for (const std::string text :
+       {"0", "7", "1463076224", "000000000000000001", "999999999999999999",
+        "1000000000000000000", "9223372036854775807", "9223372036854775808",
+        "99999999999999999999", "00000000000000000001", "-1", "-86400", "-1463076224",
+        "-9223372036854775808", "-9223372036854775809", "+1463076224", " 1463076224",
+        "1463076224 ", "14630x6224", "", " "}) {
+    expect_matches_general(text);
+  }
+  EXPECT_EQ(parse_utc_timestamp("999999999999999999"), 999999999999999999);
+  EXPECT_EQ(parse_utc_timestamp("9223372036854775807"), 9223372036854775807);
+  EXPECT_FALSE(parse_utc_timestamp("9223372036854775808").has_value());
+}
+
+TEST(ParseUtcTimestamp, FastPathMatchesGeneralPathOnRandomCivilFields) {
+  // Random field values around and past every range limit.
+  std::mt19937 rng{2016};
+  char buffer[32];
+  for (int i = 0; i < 20000; ++i) {
+    std::snprintf(buffer, sizeof buffer, "%04u-%02u-%02u %02u:%02u:%02u",
+                  static_cast<unsigned>(rng() % 10000), static_cast<unsigned>(rng() % 14),
+                  static_cast<unsigned>(rng() % 33), static_cast<unsigned>(rng() % 26),
+                  static_cast<unsigned>(rng() % 62), static_cast<unsigned>(rng() % 62));
+    expect_matches_general(buffer);
+  }
 }
 
 TEST(ParseUtcTimestamp, RejectsJunk) {

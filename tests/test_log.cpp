@@ -34,6 +34,33 @@ TEST(Log, SiteRegistrationIsIdempotentByName) {
   EXPECT_EQ(a, b);  // found by name; first registration wins
 }
 
+TEST(Log, LongSiteNameFindsItsOwnSlot) {
+  TZGEO_SKIP_IF_OBS_DISABLED();
+  auto log = make_log();
+  const std::string name(Log::kSiteNameCapacity + 18, 'n');
+  const Log::SiteId first = log->site(name, LogLevel::kInfo);
+  ASSERT_NE(first, Log::kInvalidSite);
+  EXPECT_EQ(log->site(name, LogLevel::kInfo), first);
+  // Only the stored prefix identifies a site.
+  EXPECT_EQ(log->site(name.substr(0, Log::kSiteNameCapacity - 1), LogLevel::kInfo), first);
+  EXPECT_NE(log->site(name.substr(0, Log::kSiteNameCapacity - 2), LogLevel::kInfo), first);
+}
+
+TEST(Log, RefusedSitesAreCounted) {
+  TZGEO_SKIP_IF_OBS_DISABLED();
+  auto log = make_log();
+  for (std::size_t i = 0; i < Log::kMaxSites; ++i) {
+    ASSERT_NE(log->site("site." + std::to_string(i), LogLevel::kInfo), Log::kInvalidSite);
+  }
+  EXPECT_EQ(log->refused_sites(), 0u);
+  EXPECT_EQ(log->site("one.too.many", LogLevel::kInfo), Log::kInvalidSite);
+  EXPECT_EQ(log->site("two.too.many", LogLevel::kInfo), Log::kInvalidSite);
+  EXPECT_EQ(log->refused_sites(), 2u);
+  EXPECT_EQ(log->site("site.0", LogLevel::kInfo), 0u);  // known names are still found
+  log->clear();
+  EXPECT_EQ(log->refused_sites(), 2u);
+}
+
 TEST(Log, WriteLandsInRingWithTypedFields) {
   TZGEO_SKIP_IF_OBS_DISABLED();
   auto log = make_log();

@@ -8,62 +8,22 @@
 // binning, shuffled and pre-epoch input, every day-filter regime and crowds
 // large enough to split across the thread pool.
 //
-// The binary replaces the global operator new with a counting one, so a
+// The binary links allocation_budget.hpp's counting operator new, so a
 // test can bound what a call allocates: a hostile timestamp must not make
 // the builder size anything by the day span.
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <atomic>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <new>
 #include <stdexcept>
 #include <vector>
 
+#include "allocation_budget.hpp"
 #include "core/profile_builder.hpp"
 #include "timezone/zone_db.hpp"
 #include "util/rng.hpp"
-
-namespace {
-
-/// While armed, every allocation counts toward kAllocationBudget, and the
-/// one that would pass it throws std::bad_alloc.
-constexpr std::size_t kAllocationBudget = std::size_t{64} << 20;
-std::atomic<bool> g_armed{false};
-std::atomic<std::size_t> g_armed_bytes{0};
-
-void* counted_allocation(std::size_t size) {
-  if (g_armed.load(std::memory_order_relaxed) &&
-      g_armed_bytes.fetch_add(size, std::memory_order_relaxed) + size > kAllocationBudget) {
-    throw std::bad_alloc();
-  }
-  if (void* block = std::malloc(size == 0 ? 1 : size)) return block;
-  throw std::bad_alloc();
-}
-
-/// Arms the budget for its lifetime.
-class AllocationBudget {
- public:
-  AllocationBudget() {
-    g_armed_bytes.store(0);
-    g_armed.store(true);
-  }
-  ~AllocationBudget() { g_armed.store(false); }
-  AllocationBudget(const AllocationBudget&) = delete;
-  AllocationBudget& operator=(const AllocationBudget&) = delete;
-  [[nodiscard]] static std::size_t bytes() { return g_armed_bytes.load(); }
-};
-
-}  // namespace
-
-void* operator new(std::size_t size) { return counted_allocation(size); }
-void* operator new[](std::size_t size) { return counted_allocation(size); }
-void operator delete(void* block) noexcept { std::free(block); }
-void operator delete[](void* block) noexcept { std::free(block); }
-void operator delete(void* block, std::size_t /*size*/) noexcept { std::free(block); }
-void operator delete[](void* block, std::size_t /*size*/) noexcept { std::free(block); }
 
 namespace tzgeo::core {
 namespace {
