@@ -30,25 +30,18 @@ using namespace tzgeo;
 namespace {
 
 struct Rig {
-  tor::Consensus consensus;
   util::SimClock clock;
   forum::ForumEngine engine;
   tor::OnionTransport transport;
   std::string onion;
 
   Rig(forum::ForumConfig config, const synth::Dataset& crowd, std::int64_t start_utc)
-      : consensus(make_consensus()),
-        clock(start_utc),
+      : clock(start_utc),
         engine(std::move(config), crowd),
-        transport(consensus, clock, 4242) {
+        transport(clock, 4242) {
     onion = transport.host(1, [this](const tor::Request& request, std::int64_t now) {
       return engine.handle(request, now);
     });
-  }
-
-  [[nodiscard]] static tor::Consensus make_consensus() {
-    util::Rng rng{808};
-    return tor::Consensus::synthetic(150, rng);
   }
 };
 

@@ -52,10 +52,8 @@ struct ForumRun {
   config.policy = forum::TimestampPolicy::kServerLocal;
   forum::ForumEngine engine{config, crowd};
 
-  util::Rng consensus_rng{util::hash64(spec.onion_address)};
-  const tor::Consensus consensus = tor::Consensus::synthetic(300, consensus_rng);
   util::SimClock clock{tz::to_utc_seconds({tz::CivilDate{2017, 4, 1}, 0, 0, 0})};
-  tor::OnionTransport transport{consensus, clock, options.seed};
+  tor::OnionTransport transport{clock, options.seed};
   const std::string onion =
       transport.host(util::hash64(spec.onion_address),
                      [&engine](const tor::Request& request, std::int64_t now) {

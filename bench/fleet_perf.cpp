@@ -55,17 +55,12 @@ namespace {
   return synth::make_region_dataset(spec, 2, options);
 }
 
-/// The server side, built once and shared by every benchmark run: one
-/// consensus plus `count` independent forum engines.
+/// The server side, built once and shared by every benchmark run:
+/// `count` independent forum engines.
 struct FleetBenchEnv {
-  tor::Consensus consensus;
   std::vector<std::unique_ptr<forum::ForumEngine>> engines;
 
-  explicit FleetBenchEnv(std::size_t count)
-      : consensus([] {
-          util::Rng rng{900};
-          return tor::Consensus::synthetic(120, rng);
-        }()) {
+  explicit FleetBenchEnv(std::size_t count) {
     engines.reserve(count);
     for (std::size_t i = 0; i < count; ++i) {
       forum::ForumConfig config;
@@ -112,7 +107,7 @@ struct FleetBenchEnv {
 void BM_FleetRound(benchmark::State& state) {
   const auto forums = static_cast<std::size_t>(state.range(0));
   const FleetBenchEnv& env = shared_env(forums);
-  forum::Fleet fleet{env.consensus, env.specs(), bench_options()};
+  forum::Fleet fleet{env.specs(), bench_options()};
   for (auto _ : state) {
     fleet.poll_round();
   }

@@ -55,15 +55,10 @@ constexpr std::int64_t kDuration = 7 * 86400;
 /// The hidden services: kBoards engines that outlive every crawler
 /// process (a crash kills the crawler, not the forums).
 struct Boards {
-  tor::Consensus consensus;
   std::vector<std::unique_ptr<forum::ForumEngine>> engines;
   std::int64_t death_of_board3 = 0;  ///< board 3 404s forever after this
 
-  Boards()
-      : consensus([] {
-          util::Rng rng{810};
-          return tor::Consensus::synthetic(150, rng);
-        }()) {
+  Boards() {
     for (std::size_t i = 0; i < kBoards; ++i) {
       forum::ForumConfig config;
       config.name = "Board " + std::to_string(i);
@@ -142,7 +137,7 @@ int main() {
   {
     forum::FleetOptions options = campaign_options(t0, 99, checkpoint);
     options.halt_after_rounds = 150;  // scripted kill -9 mid-campaign
-    forum::Fleet fleet{boards.consensus, boards.specs(&drops), options};
+    forum::Fleet fleet{boards.specs(&drops), options};
     try {
       (void)fleet.run();
       std::printf("unexpected: campaign finished before the crash\n");
@@ -153,7 +148,7 @@ int main() {
   forum::FleetResult verdict;
   {
     // A fresh process: new Fleet, same checkpoint — resumes mid-campaign.
-    forum::Fleet fleet{boards.consensus, boards.specs(&drops), campaign_options(t0, 99, checkpoint)};
+    forum::Fleet fleet{boards.specs(&drops), campaign_options(t0, 99, checkpoint)};
     std::printf("resumed at round %zu/%zu\n", fleet.next_round(), fleet.rounds_total());
     verdict = fleet.run();
   }
@@ -163,8 +158,7 @@ int main() {
   // A second, independently seeded fleet (different transport RNG, its own
   // latencies and strikes) crawls the same boards with no checkpoint.
   std::printf("\nredundant crawler pass (independent seed):\n");
-  forum::Fleet redundant{boards.consensus, boards.specs(&drops),
-                         campaign_options(t0, 1234, "")};
+  forum::Fleet redundant{boards.specs(&drops), campaign_options(t0, 1234, "")};
   const forum::FleetResult second = redundant.run();
 
   std::printf("  %-8s %9s %9s %9s  %s\n", "board", "crawl A", "crawl B", "agreed",

@@ -65,12 +65,10 @@ int main() {
   config.policy = forum::TimestampPolicy::kServerLocal;
   forum::ForumEngine engine{config, crowd};
 
-  util::Rng consensus_rng{101};
-  const tor::Consensus consensus = tor::Consensus::synthetic(500, consensus_rng);
   util::SimClock clock{tz::to_utc_seconds({tz::CivilDate{2017, 5, 1}, 0, 0, 0})};
   tor::TransportOptions transport_options;
   transport_options.failure_probability = 0.02;  // circuits drop now and then
-  tor::OnionTransport transport{consensus, clock, 77, transport_options};
+  tor::OnionTransport transport{clock, 77, transport_options};
   const std::string onion =
       transport.host(util::hash64("majestic"), [&engine](const tor::Request& r, std::int64_t t) {
         return engine.handle(r, t);

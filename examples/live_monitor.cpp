@@ -107,8 +107,6 @@ int main() {
   config.policy = forum::TimestampPolicy::kHidden;
   forum::ForumEngine engine{config, crowd};
 
-  util::Rng consensus_rng{300};
-  const tor::Consensus consensus = tor::Consensus::synthetic(200, consensus_rng);
   // Start the monitor at the beginning of the crowd's activity year.
   const tz::UtcSeconds t0 = tz::to_utc_seconds({tz::CivilDate{2016, 1, 10}, 0, 0, 0});
   util::SimClock clock{t0};
@@ -126,7 +124,7 @@ int main() {
   fault::FaultInjector injector{plan};
   tor::TransportOptions transport_options;
   transport_options.fault_injector = &injector;
-  tor::OnionTransport transport{consensus, clock, 44, transport_options};
+  tor::OnionTransport transport{clock, 44, transport_options};
   const std::string onion =
       transport.host(util::hash64("crdclub-hidden"),
                      [&engine](const tor::Request& request, std::int64_t now) {

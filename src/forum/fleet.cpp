@@ -119,8 +119,7 @@ struct Fleet::Forum {
   }
 };
 
-Fleet::Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
-             FleetOptions options)
+Fleet::Fleet(std::vector<FleetForumSpec> specs, FleetOptions options)
     : options_(std::move(options)) {
   if (options_.poll_interval_seconds <= 0 || options_.duration_seconds <= 0) {
     throw std::invalid_argument("Fleet: interval and duration must be positive");
@@ -166,8 +165,8 @@ Fleet::Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
       forum->injector = std::make_unique<fault::FaultInjector>(*forum->spec.fault_plan);
       transport_options.fault_injector = forum->injector.get();
     }
-    forum->transport = std::make_unique<tor::OnionTransport>(consensus, forum->clock,
-                                                             forum_seed, transport_options);
+    forum->transport =
+        std::make_unique<tor::OnionTransport>(forum->clock, forum_seed, transport_options);
     forum->onion = forum->transport->host(forum->spec.service_key, forum->spec.handler);
 
     forum->sweep_options.max_pages_per_poll = options_.max_pages_per_poll;

@@ -165,12 +165,11 @@ struct FleetResult {
 
 /// The fleet scheduler.  Construct, then either run() the whole campaign
 /// or drive it round by round (poll_round / done / finish) — the
-/// dashboard uses the stepwise form.  The consensus and every
-/// FleetForumSpec::fault_plan must outlive the Fleet.
+/// dashboard uses the stepwise form.  Every FleetForumSpec::fault_plan
+/// must outlive the Fleet.
 class Fleet {
  public:
-  Fleet(const tor::Consensus& consensus, std::vector<FleetForumSpec> specs,
-        FleetOptions options);
+  Fleet(std::vector<FleetForumSpec> specs, FleetOptions options);
   ~Fleet();
   Fleet(const Fleet&) = delete;
   Fleet& operator=(const Fleet&) = delete;

@@ -263,23 +263,6 @@ std::string prometheus_escape_help(std::string_view text) {
   return out;
 }
 
-std::string prometheus_escape_label_value(std::string_view text) {
-  std::string out;
-  out.reserve(text.size());
-  for (const char c : text) {
-    if (c == '\\') {
-      out += "\\\\";
-    } else if (c == '"') {
-      out += "\\\"";
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out.push_back(c);
-    }
-  }
-  return out;
-}
-
 std::string prometheus_sanitize_name(std::string_view name) {
   if (name.empty()) return "_";
   std::string out;

@@ -225,9 +225,6 @@ class MetricsRegistry {
 /// Escapes a HELP line payload: backslash and newline get backslash-escaped.
 [[nodiscard]] std::string prometheus_escape_help(std::string_view text);
 
-/// Escapes a label value: backslash, double-quote, and newline.
-[[nodiscard]] std::string prometheus_escape_label_value(std::string_view text);
-
 /// Maps arbitrary text to a valid metric name: [a-zA-Z_:][a-zA-Z0-9_:]*,
 /// replacing every invalid byte with '_' (empty input becomes "_").
 [[nodiscard]] std::string prometheus_sanitize_name(std::string_view name);

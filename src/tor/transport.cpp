@@ -26,45 +26,42 @@ obs::Log::SiteId retries_exhausted_site() {
   return id;
 }
 
-/// The censored client's private view: public relays plus its bridges.
-[[nodiscard]] Consensus augment_with_bridges(const Consensus& consensus,
-                                             const BridgeSet& bridges) {
-  std::vector<RelayDescriptor> relays = consensus.relays();
-  for (const auto& bridge : bridges.bridges()) relays.push_back(bridge);
-  return Consensus{std::move(relays)};
-}
+// The link model.  One hop forwards in a 15 ms floor (propagation and
+// onion crypto) plus an exponential queueing tail of mean 35 ms.
+constexpr double kHopFloorMs = 15.0;
+constexpr double kHopTailMeanMs = 35.0;
+// A rendezvous path joins a three-hop client circuit and a three-hop
+// service circuit.
+constexpr int kRendezvousHops = 6;
+// Setup telescopes both circuits (2 x (3 + 2 + 1) hop latencies each),
+// crosses an introduction point and back (2) and sends the first half
+// trip (6): 32 hop latencies against the 12 of one round trip.
+constexpr double kSetupPerRoundTrip = 32.0 / 12.0;
 
 }  // namespace
 
+std::string onion_address(std::uint64_t service_key) {
+  // v2 onion addresses are 16 base32 characters (80 bits of key hash).
+  // We derive 80 bits from two splitmix64 steps over the key.
+  static constexpr char kBase32[] = "abcdefghijklmnopqrstuvwxyz234567";
+  std::uint64_t state = service_key;
+  const std::uint64_t lo = util::splitmix64(state);
+  const std::uint64_t hi = util::splitmix64(state);
+  std::string address;
+  address.reserve(16);
+  for (int i = 0; i < 16; ++i) {
+    const std::uint64_t word = (i < 12) ? lo : hi;
+    const int shift = (i % 12) * 5 % 60;
+    address.push_back(kBase32[(word >> shift) & 0x1f]);
+  }
+  return address;
+}
+
 void OnionTransport::register_health() { (void)transport_health(); }
 
-OnionTransport::OnionTransport(const Consensus& consensus, util::SimClock& clock,
-                               std::uint64_t seed, TransportOptions options)
-    : consensus_(consensus),
-      directory_(consensus),
-      protocol_(consensus, directory_),
-      clock_(clock),
-      rng_(seed),
-      seed_(seed),
-      options_(options) {
-  // A client session pins one entry guard for its lifetime.
-  guard_id_ = CircuitBuilder{consensus_}.sample_guard(rng_);
-}
-
-OnionTransport::OnionTransport(const Consensus& consensus, const BridgeSet& bridges,
-                               util::SimClock& clock, std::uint64_t seed,
+OnionTransport::OnionTransport(util::SimClock& clock, std::uint64_t seed,
                                TransportOptions options)
-    : client_view_(augment_with_bridges(consensus, bridges)),
-      consensus_(*client_view_),
-      directory_(consensus_),
-      protocol_(consensus_, directory_),
-      clock_(clock),
-      rng_(seed),
-      seed_(seed),
-      options_(options) {
-  // A censored client enters through one of its configured bridges.
-  guard_id_ = bridges.pick(rng_).id;
-}
+    : clock_(clock), rng_(seed), seed_(seed), options_(options) {}
 
 void OnionTransport::begin_epoch(std::uint64_t epoch) {
   // The epoch stream must be a pure function of (seed, epoch): split()
@@ -72,46 +69,44 @@ void OnionTransport::begin_epoch(std::uint64_t epoch) {
   // the request rng (whose state depends on traffic history).
   util::Rng parent{seed_};
   rng_ = parent.split(epoch);
-  connections_.clear();
-  requests_on_circuit_.clear();
+  links_.clear();
   epoch_requests_ = 0;
   if (options_.fault_injector != nullptr) options_.fault_injector->begin_epoch(epoch);
 }
 
 std::string OnionTransport::host(std::uint64_t service_key, ServiceHandler handler) {
-  const HiddenServiceDescriptor descriptor = protocol_.host_service(service_key, 3, rng_);
-  handlers_[descriptor.onion] = std::move(handler);
-  return descriptor.onion;
+  std::string onion = onion_address(service_key);
+  handlers_[onion] = std::move(handler);
+  return onion;
 }
 
-const RendezvousConnection& OnionTransport::connection_for(const std::string& onion) {
+OnionTransport::Link& OnionTransport::link_for(const std::string& onion) {
   // Scheduled rotation: retire the circuit after its request budget.
-  const auto existing = connections_.find(onion);
-  if (existing != connections_.end()) {
+  const auto existing = links_.find(onion);
+  if (existing != links_.end()) {
     if (options_.requests_per_circuit == 0 ||
-        requests_on_circuit_[onion] < options_.requests_per_circuit) {
+        existing->second.requests < options_.requests_per_circuit) {
       return existing->second;
     }
-    connections_.erase(existing);
     ++stats_.circuit_rotations;
   }
 
-  auto connection = protocol_.connect(onion, rng_, guard_id_);
-  if (!connection) {
-    throw TransportError("onion address not found: " + onion);
+  double path_ms = 0.0;
+  for (int hop = 0; hop < kRendezvousHops; ++hop) {
+    path_ms += kHopFloorMs + rng_.exponential(1.0 / kHopTailMeanMs);
   }
+  const double round_trip_ms = 2.0 * path_ms;
+  const double setup_ms = kSetupPerRoundTrip * round_trip_ms;
   ++stats_.circuits_built;
   {
     const obs::PipelineMetrics& metrics = obs::PipelineMetrics::get();
     obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
     registry.add(metrics.tor_circuits_built);
-    registry.observe(metrics.tor_circuit_build_ms,
-                     static_cast<std::uint64_t>(connection->setup_latency_ms));
+    registry.observe(metrics.tor_circuit_build_ms, static_cast<std::uint64_t>(setup_ms));
   }
-  requests_on_circuit_[onion] = 0;
-  clock_.advance_millis(static_cast<std::int64_t>(connection->setup_latency_ms));
-  stats_.total_latency_ms += connection->setup_latency_ms;
-  return connections_.emplace(onion, std::move(*connection)).first->second;
+  clock_.advance_millis(static_cast<std::int64_t>(setup_ms));
+  stats_.total_latency_ms += setup_ms;
+  return links_[onion] = Link{round_trip_ms, 0};
 }
 
 Response OnionTransport::fetch(const std::string& onion, const Request& request) {
@@ -140,21 +135,21 @@ Response OnionTransport::fetch(const std::string& onion, const Request& request)
     if (options_.fault_injector != nullptr) {
       injected = options_.fault_injector->before_request(clock_.now_seconds());
     }
-    const RendezvousConnection& connection = connection_for(onion);
-    const double latency = connection.round_trip_ms(consensus_) +
+    Link& link = link_for(onion);
+    const double latency = link.round_trip_ms +
                            rng_.exponential(1.0 / std::max(options_.jitter_ms, 1e-9)) +
                            injected.extra_latency_ms;
     clock_.advance_millis(static_cast<std::int64_t>(latency));
     stats_.total_latency_ms += latency;
     ++stats_.requests;
     registry.add(metrics.tor_requests);
-    ++requests_on_circuit_[onion];
+    ++link.requests;
 
     if (injected.drop_connection || rng_.bernoulli(options_.failure_probability)) {
       // Circuit dropped mid-request: tear down and retry on a fresh one.
       ++stats_.failures;
       registry.add(metrics.tor_request_failures);
-      connections_.erase(onion);
+      links_.erase(onion);
       continue;
     }
     Response response;

@@ -1,19 +1,21 @@
-// Request/response transport over simulated rendezvous circuits.
+// Request/response transport to simulated hidden services.
 //
 // The crawler speaks a minimal HTTP-like protocol to hidden services.  A
-// transport owns the rendezvous connections, advances the simulated clock
-// by the modelled latency of every round trip, and injects circuit
-// failures so the retry path of the pipeline is exercised.
+// transport keeps one seeded link per onion address (a setup latency and
+// a round-trip latency drawn on every (re)connection), advances the
+// simulated clock by the modelled latency of every round trip, and
+// injects circuit failures so the retry path of the pipeline is
+// exercised.  The paper's crawler needs page-at-a-time access, an
+// unknown server clock, drops with retries and rate limits from Tor —
+// never relay selection — so no network topology is modelled.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <map>
-#include <optional>
 #include <stdexcept>
 #include <string>
 
-#include "tor/hidden_service.hpp"
 #include "util/rng.hpp"
 #include "util/sim_clock.hpp"
 
@@ -22,6 +24,10 @@ class FaultInjector;
 }  // namespace tzgeo::fault
 
 namespace tzgeo::tor {
+
+/// Derives the 16-character base32 .onion host name from a service key
+/// (the v2 scheme: the address is a hash of the service's public key).
+[[nodiscard]] std::string onion_address(std::uint64_t service_key);
 
 /// A request to a hidden service.
 struct Request {
@@ -52,7 +58,7 @@ struct TransportOptions {
   int max_retries = 3;               ///< rebuild attempts per request
   double jitter_ms = 25.0;  ///< extra exponential latency jitter per trip  // tzgeo-lint: allow(magic-hours): milliseconds
   /// Rotate the rendezvous circuit after this many requests (Tor rotates
-  /// circuits periodically; the entry guard stays pinned across rotations).
+  /// circuits periodically).
   std::size_t requests_per_circuit = 100;
   /// Politeness: when the service answers 429 (rate limited), back off and
   /// retry, up to max_rate_limit_retries times (0 disables and the 429 is
@@ -79,19 +85,10 @@ struct TransportStats {
   double total_latency_ms = 0.0;
 };
 
-/// Client/service bridge over the simulated Tor network.
+/// Client side of the simulated Tor link to hidden services.
 class OnionTransport {
  public:
-  OnionTransport(const Consensus& consensus, util::SimClock& clock, std::uint64_t seed,
-                 TransportOptions options = {});
-
-  /// Censored-client mode (Background II-A): the client knows a set of
-  /// unlisted bridges and pins one of them as its entry instead of a
-  /// consensus guard.  The transport keeps a client-local view of the
-  /// network that includes its bridges (they stay absent from the public
-  /// consensus object passed in).
-  OnionTransport(const Consensus& consensus, const BridgeSet& bridges, util::SimClock& clock,
-                 std::uint64_t seed, TransportOptions options = {});
+  OnionTransport(util::SimClock& clock, std::uint64_t seed, TransportOptions options = {});
 
   /// Registers the transports' liveness component ("tor.transport") with
   /// obs::Health::global() now instead of at first fetch.  A caller that
@@ -99,8 +96,8 @@ class OnionTransport {
   /// first, so this component is not the one refused.
   static void register_health();
 
-  /// Hosts a service: runs the setup protocol of Section II-B and maps the
-  /// resulting onion address to `handler`.  Returns the onion address.
+  /// Hosts a service: maps onion_address(service_key) to `handler`.
+  /// Returns the onion address.
   std::string host(std::uint64_t service_key, ServiceHandler handler);
 
   /// Round trip to a hidden service.  Advances the simulated clock by the
@@ -109,8 +106,8 @@ class OnionTransport {
   Response fetch(const std::string& onion, const Request& request);
 
   /// Starts a deterministic replay epoch: reseeds the per-request RNG as a
-  /// pure function of (construction seed, epoch), retires every rendezvous
-  /// connection (fresh circuits, entry guard stays pinned), and forwards
+  /// pure function of (construction seed, epoch), retires every link (the
+  /// next fetch to each onion reconnects), and forwards
   /// the boundary to the fault injector.  The monitor opens one epoch per
   /// poll sweep, which is what makes a sweep — and therefore a
   /// crash/resume — bit-identical to an uninterrupted run: the sweep
@@ -130,20 +127,19 @@ class OnionTransport {
   [[nodiscard]] std::size_t epoch_requests() const noexcept { return epoch_requests_; }
 
   [[nodiscard]] const TransportStats& stats() const noexcept { return stats_; }
-  [[nodiscard]] const Consensus& consensus() const noexcept { return consensus_; }
   [[nodiscard]] util::SimClock& clock() noexcept { return clock_; }
-  /// This client session's pinned entry guard.
-  [[nodiscard]] std::uint64_t guard_id() const noexcept { return guard_id_; }
 
  private:
-  /// Establishes (or re-establishes) the rendezvous connection to `onion`.
-  const RendezvousConnection& connection_for(const std::string& onion);
+  /// One established connection to an onion: its round-trip latency,
+  /// fixed until the link is torn down, and the requests it has carried.
+  struct Link {
+    double round_trip_ms = 0.0;
+    std::size_t requests = 0;
+  };
 
-  /// In bridge mode, the client-local network view (consensus + bridges).
-  std::optional<Consensus> client_view_;
-  const Consensus& consensus_;
-  HiddenServiceDirectory directory_;
-  RendezvousProtocol protocol_;
+  /// Returns the live link to `onion`, connecting (or rotating) first.
+  Link& link_for(const std::string& onion);
+
   util::SimClock& clock_;
   util::Rng rng_;
   std::uint64_t seed_;  ///< construction seed, re-mixed by begin_epoch()
@@ -151,10 +147,8 @@ class OnionTransport {
   TransportStats stats_;
   std::size_t epoch_allowance_ = 0;  ///< 0 = unlimited
   std::size_t epoch_requests_ = 0;
-  std::uint64_t guard_id_ = 0;
   std::map<std::string, ServiceHandler> handlers_;
-  std::map<std::string, RendezvousConnection> connections_;
-  std::map<std::string, std::size_t> requests_on_circuit_;
+  std::map<std::string, Link> links_;
 };
 
 /// Next 429 wait: exponential backoff with decorrelated jitter (the

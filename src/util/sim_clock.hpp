@@ -1,8 +1,8 @@
 // Simulated wall clock.
 //
 // The Tor transport and the forum crawler run against simulated time: every
-// network round-trip advances the clock, and the no-timestamp monitor mode
-// stamps observations with it.  Keeping time explicit (never reading the
+// link setup and round trip the transport's link model draws advances the
+// clock, and the no-timestamp monitor mode stamps observations with it.  Keeping time explicit (never reading the
 // host clock) is what makes every experiment reproducible.
 #pragma once
 

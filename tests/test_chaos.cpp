@@ -43,7 +43,6 @@
 #include "synth/region_presets.hpp"
 #include "timezone/civil.hpp"
 #include "util/checkpoint.hpp"
-#include "util/rng.hpp"
 
 namespace tzgeo::forum {
 namespace {
@@ -84,7 +83,6 @@ namespace fs = std::filesystem;
 /// the same seeds.  The page handler is re-bindable so tests can wrap the
 /// engine with scripted misbehavior (a dead thread, a dead forum).
 struct Env {
-  tor::Consensus consensus;
   util::SimClock clock;
   ForumEngine engine;
   std::function<tor::Response(const tor::Request&, std::int64_t)> handler;
@@ -93,17 +91,13 @@ struct Env {
   std::string onion;
 
   explicit Env(const fault::FaultPlan* plan = nullptr)
-      : consensus([] {
-          util::Rng rng{500};
-          return tor::Consensus::synthetic(100, rng);
-        }()),
-        clock(campaign_start()),
+      : clock(campaign_start()),
         engine(chaos_forum_config(), dense_crowd()),
         handler([this](const tor::Request& request, std::int64_t now) {
           return engine.handle(request, now);
         }),
         injector(plan != nullptr ? std::make_unique<fault::FaultInjector>(*plan) : nullptr),
-        transport(consensus, clock, 99,
+        transport(clock, 99,
                   [this] {
                     tor::TransportOptions options;
                     options.fault_injector = injector.get();
@@ -547,14 +541,9 @@ constexpr std::size_t kFleetRounds = 21;  // baseline + 20 intervals
 /// services keep running while the crawler process dies and resumes, so
 /// one FleetEnv serves every lifetime of a storm.
 struct FleetEnv {
-  tor::Consensus consensus;
   std::vector<std::unique_ptr<ForumEngine>> engines;
 
-  FleetEnv()
-      : consensus([] {
-          util::Rng rng{500};
-          return tor::Consensus::synthetic(100, rng);
-        }()) {
+  FleetEnv() {
     engines.reserve(kFleetForums);
     for (std::size_t i = 0; i < kFleetForums; ++i) {
       ForumConfig config = chaos_forum_config();
@@ -647,7 +636,7 @@ TEST(FleetChaos, CrashStormEveryRoundByteIdenticalAcrossSeeds) {
     core::IncrementalGeolocator reference_geo = sweep_geolocator();
     FleetOptions reference_options = fleet_chaos_options("");
     wire(reference_options, reference_geo);
-    Fleet reference_fleet{env.consensus, env.specs(&plans), reference_options};
+    Fleet reference_fleet{env.specs(&plans), reference_options};
     const FleetResult reference = reference_fleet.run();
     ASSERT_EQ(reference.rounds, kFleetRounds);
     std::size_t total_records = 0;
@@ -668,7 +657,7 @@ TEST(FleetChaos, CrashStormEveryRoundByteIdenticalAcrossSeeds) {
       FleetOptions options = fleet_chaos_options(path);
       options.halt_after_rounds = 1;
       wire(options, geo);
-      Fleet fleet{env.consensus, env.specs(&plans), options};
+      Fleet fleet{env.specs(&plans), options};
       try {
         final_result = fleet.run();
         final_geo_payload = geo.checkpoint_payload();

@@ -29,7 +29,6 @@
 #include "synth/region_presets.hpp"
 #include "timezone/civil.hpp"
 #include "util/checkpoint.hpp"
-#include "util/rng.hpp"
 
 namespace tzgeo::forum {
 namespace {
@@ -56,19 +55,13 @@ constexpr std::size_t kForums = 3;
   return synth::make_region_dataset(spec, 4, options);
 }
 
-/// Three small forums behind one consensus; the server side of every
-/// test.  Handlers can be wrapped per test to script misbehavior.
+/// Three small forums; the server side of every test.  Handlers can be wrapped per test to script misbehavior.
 struct Env {
-  tor::Consensus consensus;
   std::vector<std::unique_ptr<ForumEngine>> engines;
   /// Per-forum wrapper around the engine handler; identity by default.
   std::vector<std::function<tor::Response(const tor::Request&, std::int64_t)>> handlers;
 
-  Env()
-      : consensus([] {
-          util::Rng rng{600};
-          return tor::Consensus::synthetic(80, rng);
-        }()) {
+  Env() {
     for (std::size_t i = 0; i < kForums; ++i) {
       ForumConfig config;
       config.name = "Unit Forum " + std::to_string(i);
@@ -283,7 +276,7 @@ TEST(ReprobeJitter, OneDeterministicSlotPerWindowWithSpreadPhases) {
 
 TEST(Fleet, HealthyCampaignYieldsFullFleetVerdict) {
   Env env;
-  Fleet fleet{env.consensus, env.specs(), base_options()};
+  Fleet fleet{env.specs(), base_options()};
   EXPECT_EQ(fleet.rounds_total(), kRounds);
   const FleetResult result = fleet.run();
 
@@ -307,7 +300,7 @@ TEST(Fleet, StaggersForumSlotsAcrossTheInterval) {
   // recorded observations must spread across the hour instead of piling
   // on the same second.
   Env env;
-  Fleet fleet{env.consensus, env.specs(), base_options()};
+  Fleet fleet{env.specs(), base_options()};
   const FleetResult result = fleet.run();
 
   std::vector<std::int64_t> first_observed;
@@ -337,7 +330,7 @@ TEST(Fleet, DeadForumIsParkedNotFatal) {
   options.forum_quarantine_after = 3;
   options.forum_quarantine_cooldown_rounds = 4;
   options.forum_park_after = 2;
-  Fleet fleet{env.consensus, env.specs(), options};
+  Fleet fleet{env.specs(), options};
   const FleetResult result = fleet.run();
 
   EXPECT_FALSE(result.full_fleet());
@@ -380,7 +373,7 @@ TEST(Fleet, HealthReportCoversEveryForumAndTheFleet) {
   options.forum_quarantine_after = 3;
   options.forum_quarantine_cooldown_rounds = 4;
   options.forum_park_after = 2;
-  Fleet fleet{env.consensus, specs, options};
+  Fleet fleet{specs, options};
   const FleetResult result = fleet.run();
   ASSERT_EQ(result.forums[1].status, ForumStatus::kParked);
 
@@ -408,7 +401,7 @@ TEST(Fleet, HealthReportCoversEveryForumAndTheFleet) {
 TEST(Fleet, QuarantinedForumHealsAndIsReinstated) {
   // Reference: the same fleet with no outage.
   Env reference_env;
-  Fleet reference_fleet{reference_env.consensus, reference_env.specs(), base_options()};
+  Fleet reference_fleet{reference_env.specs(), base_options()};
   const FleetResult reference = reference_fleet.run();
 
   Env env;
@@ -424,7 +417,7 @@ TEST(Fleet, QuarantinedForumHealsAndIsReinstated) {
   options.forum_quarantine_after = 2;
   options.forum_quarantine_cooldown_rounds = 2;
   options.forum_park_after = 10;  // plenty of re-probes before parking
-  Fleet fleet{env.consensus, env.specs(), options};
+  Fleet fleet{env.specs(), options};
   const FleetResult result = fleet.run();
 
   EXPECT_EQ(result.forums[2].status, ForumStatus::kActive) << "forum was not reinstated";
@@ -439,13 +432,13 @@ TEST(Fleet, GenerousBudgetMatchesUnlimited) {
   // A budget that never binds must not change a single byte: the
   // allowance is enforcement, not scheduling.
   Env unlimited_env;
-  Fleet unlimited{unlimited_env.consensus, unlimited_env.specs(), base_options()};
+  Fleet unlimited{unlimited_env.specs(), base_options()};
   const FleetResult baseline = unlimited.run();
 
   Env budgeted_env;
   FleetOptions options = base_options();
   options.request_budget_per_round = 100'000;
-  Fleet budgeted{budgeted_env.consensus, budgeted_env.specs(), options};
+  Fleet budgeted{budgeted_env.specs(), options};
   const FleetResult result = budgeted.run();
 
   ASSERT_EQ(result.forums.size(), baseline.forums.size());
@@ -461,7 +454,7 @@ TEST(Fleet, StarvationBudgetDegradesButCompletes) {
   Env env;
   FleetOptions options = base_options();
   options.request_budget_per_round = 1;
-  Fleet fleet{env.consensus, env.specs(), options};
+  Fleet fleet{env.specs(), options};
   const FleetResult result = fleet.run();
   EXPECT_EQ(result.rounds, kRounds);
   std::size_t total_polls = 0;
@@ -475,20 +468,18 @@ TEST(Fleet, InvalidOptionsAreRejected) {
   {
     FleetOptions options = base_options();
     options.poll_interval_seconds = 0;
-    EXPECT_THROW((Fleet{env.consensus, env.specs(), options}), std::invalid_argument);
+    EXPECT_THROW((Fleet{env.specs(), options}), std::invalid_argument);
   }
-  EXPECT_THROW((Fleet{env.consensus, {}, base_options()}), std::invalid_argument);
+  EXPECT_THROW((Fleet{{}, base_options()}), std::invalid_argument);
   {
     auto specs = env.specs();
     specs[1].name = specs[0].name;
-    EXPECT_THROW((Fleet{env.consensus, std::move(specs), base_options()}),
-                 std::invalid_argument);
+    EXPECT_THROW((Fleet{std::move(specs), base_options()}), std::invalid_argument);
   }
   {
     auto specs = env.specs();
     specs[0].name = "__fleet__";  // reserved for the checkpoint global entry
-    EXPECT_THROW((Fleet{env.consensus, std::move(specs), base_options()}),
-                 std::invalid_argument);
+    EXPECT_THROW((Fleet{std::move(specs), base_options()}), std::invalid_argument);
   }
 }
 
@@ -539,7 +530,7 @@ struct ManifestLayout {
 TEST(FleetCheckpoint, CorruptSubEntryParksOnlyThatForum) {
   // Reference: the uninterrupted campaign.
   Env reference_env;
-  Fleet reference_fleet{reference_env.consensus, reference_env.specs(), base_options()};
+  Fleet reference_fleet{reference_env.specs(), base_options()};
   const FleetResult reference = reference_fleet.run();
 
   const std::string path = temp_checkpoint("fleet_corrupt_entry.ckpt");
@@ -548,7 +539,7 @@ TEST(FleetCheckpoint, CorruptSubEntryParksOnlyThatForum) {
     Env env;
     FleetOptions options = base_options(path);
     options.halt_after_rounds = 6;
-    Fleet fleet{env.consensus, env.specs(), options};
+    Fleet fleet{env.specs(), options};
     EXPECT_THROW((void)fleet.run(), CrawlError);
   }
   ASSERT_TRUE(fs::exists(path));
@@ -571,7 +562,7 @@ TEST(FleetCheckpoint, CorruptSubEntryParksOnlyThatForum) {
   }
 
   Env env;
-  Fleet fleet{env.consensus, env.specs(), base_options(path)};
+  Fleet fleet{env.specs(), base_options(path)};
   const FleetResult result = fleet.run();
 
   EXPECT_EQ(result.parked, 1u);
@@ -596,7 +587,7 @@ TEST(FleetCheckpoint, DifferentCampaignIsRefusedWhole) {
     Env env;
     FleetOptions options = base_options(path);
     options.halt_after_rounds = 3;
-    Fleet fleet{env.consensus, env.specs(), options};
+    Fleet fleet{env.specs(), options};
     EXPECT_THROW((void)fleet.run(), CrawlError);
   }
   ASSERT_TRUE(fs::exists(path));
@@ -607,7 +598,7 @@ TEST(FleetCheckpoint, DifferentCampaignIsRefusedWhole) {
     FleetOptions options = base_options(path);
     options.duration_seconds = kDuration * 2;
     try {
-      Fleet fleet{env.consensus, env.specs(), options};
+      Fleet fleet{env.specs(), options};
       FAIL() << "checkpoint for a different schedule accepted";
     } catch (const util::CheckpointError& error) {
       EXPECT_EQ(error.code(), util::CheckpointErrorCode::kMalformed);
@@ -619,7 +610,7 @@ TEST(FleetCheckpoint, DifferentCampaignIsRefusedWhole) {
     auto specs = env.specs();
     specs[1].name = "renamed";
     try {
-      Fleet fleet{env.consensus, std::move(specs), base_options(path)};
+      Fleet fleet{std::move(specs), base_options(path)};
       FAIL() << "checkpoint for a different roster accepted";
     } catch (const util::CheckpointError& error) {
       EXPECT_EQ(error.code(), util::CheckpointErrorCode::kMalformed);
@@ -635,11 +626,11 @@ TEST(FleetCheckpoint, SnapshotTracksStatusesAcrossResume) {
     Env env;
     FleetOptions options = base_options(path);
     options.halt_after_rounds = 4;
-    Fleet fleet{env.consensus, env.specs(), options};
+    Fleet fleet{env.specs(), options};
     EXPECT_THROW((void)fleet.run(), CrawlError);
   }
   Env env;
-  Fleet fleet{env.consensus, env.specs(), base_options(path)};
+  Fleet fleet{env.specs(), base_options(path)};
   EXPECT_EQ(fleet.next_round(), 4u);
   const auto before = fleet.snapshot();
   ASSERT_EQ(before.size(), kForums);

@@ -31,7 +31,6 @@ namespace {
 }
 
 struct Rig {
-  tor::Consensus consensus;
   util::SimClock clock;
   ForumEngine engine;
   tor::OnionTransport transport;
@@ -41,20 +40,14 @@ struct Rig {
 
   explicit Rig(ForumConfig config, synth::Dataset crowd = small_crowd(),
                tor::TransportOptions transport_options = {})
-      : consensus(make_consensus()),
-        clock(at(2017, 2, 1)),  // after the crowd's 2016 activity
+      : clock(at(2017, 2, 1)),  // after the crowd's 2016 activity
         engine(std::move(config), crowd),
-        transport(consensus, clock, 99, transport_options) {
+        transport(clock, 99, transport_options) {
     onion = transport.host(util::hash64(engine.config().name),
                            [this](const tor::Request& request, std::int64_t now) {
                              if (handler_override) return handler_override(request, now);
                              return engine.handle(request, now);
                            });
-  }
-
-  [[nodiscard]] static tor::Consensus make_consensus() {
-    util::Rng rng{500};
-    return tor::Consensus::synthetic(100, rng);
   }
 };
 
@@ -340,10 +333,9 @@ TEST(Monitor, StampsNewPostsWithinPollInterval) {
   // Start the monitor *before* the crowd's activity so posts appear live.
   synth::Dataset crowd = small_crowd(88);
   ForumConfig config = config_with(TimestampPolicy::kHidden, 0);
-  tor::Consensus consensus = Rig::make_consensus();
   util::SimClock clock{at(2016, 3, 1)};
   ForumEngine engine{config, crowd};
-  tor::OnionTransport transport{consensus, clock, 7};
+  tor::OnionTransport transport{clock, 7};
   const std::string onion =
       transport.host(1, [&engine](const tor::Request& request, std::int64_t now) {
         return engine.handle(request, now);
@@ -380,10 +372,9 @@ TEST(Monitor, SurvivesAndCountsFailedPolls) {
   // appeared during the outage exactly once after recovery.
   synth::Dataset crowd = small_crowd(88);
   ForumConfig config = config_with(TimestampPolicy::kHidden, 0);
-  tor::Consensus consensus = Rig::make_consensus();
   util::SimClock clock{at(2016, 3, 1)};
   ForumEngine engine{config, crowd};
-  tor::OnionTransport transport{consensus, clock, 7};
+  tor::OnionTransport transport{clock, 7};
   const std::int64_t outage_start = at(2016, 3, 6);
   const std::int64_t outage_end = at(2016, 3, 11);
   const std::string onion = transport.host(
@@ -426,10 +417,9 @@ TEST(Monitor, ObservedStampsSupportProfiles) {
   // reproduce the hourly activity shape of the true posting times.
   synth::Dataset crowd = small_crowd(99);
   ForumConfig config = config_with(TimestampPolicy::kHidden, 0);
-  tor::Consensus consensus = Rig::make_consensus();
   util::SimClock clock{at(2016, 2, 1)};
   ForumEngine engine{config, crowd};
-  tor::OnionTransport transport{consensus, clock, 8};
+  tor::OnionTransport transport{clock, 8};
   const std::string onion =
       transport.host(2, [&engine](const tor::Request& request, std::int64_t now) {
         return engine.handle(request, now);

@@ -28,25 +28,18 @@ namespace {
 constexpr std::int64_t kLate = 4102444800;  // 2100-01-01
 
 struct Rig {
-  tor::Consensus consensus;
   util::SimClock clock;
   ForumEngine engine;
   tor::OnionTransport transport;
   std::string onion;
 
   explicit Rig(ForumConfig config, std::size_t users = 40)
-      : consensus(make_consensus()),
-        clock(kLate),
+      : clock(kLate),
         engine(std::move(config), crowd_of(users)),
-        transport(consensus, clock, 21) {
+        transport(clock, 21) {
     onion = transport.host(9, [this](const tor::Request& request, std::int64_t now) {
       return engine.handle(request, now);
     });
-  }
-
-  [[nodiscard]] static tor::Consensus make_consensus() {
-    util::Rng rng{600};
-    return tor::Consensus::synthetic(80, rng);
   }
 };
 

@@ -184,10 +184,8 @@ TEST_F(IntegrationFixture, ForumPipelineEndToEnd) {
   config.policy = forum::TimestampPolicy::kServerLocal;
   forum::ForumEngine engine{config, crowd};
 
-  util::Rng consensus_rng{7};
-  const tor::Consensus consensus = tor::Consensus::synthetic(120, consensus_rng);
   util::SimClock clock{tz::to_utc_seconds({tz::CivilDate{2017, 3, 1}, 0, 0, 0})};
-  tor::OnionTransport transport{consensus, clock, 17};
+  tor::OnionTransport transport{clock, 17};
   const std::string onion =
       transport.host(1, [&engine](const tor::Request& request, std::int64_t now) {
         return engine.handle(request, now);

@@ -251,14 +251,6 @@ TEST(PrometheusExposition, HelpEscapesBackslashAndNewline) {
   EXPECT_EQ(prometheus_escape_help("\\\n"), "\\\\\\n");
 }
 
-TEST(PrometheusExposition, LabelValueEscapesQuoteBackslashNewline) {
-  EXPECT_EQ(prometheus_escape_label_value("plain"), "plain");
-  EXPECT_EQ(prometheus_escape_label_value("q\"uote"), "q\\\"uote");
-  EXPECT_EQ(prometheus_escape_label_value("back\\slash"), "back\\\\slash");
-  EXPECT_EQ(prometheus_escape_label_value("line\nbreak"), "line\\nbreak");
-  EXPECT_EQ(prometheus_escape_label_value("\"\\\n"), "\\\"\\\\\\n");
-}
-
 TEST(PrometheusExposition, SanitizeNameMapsInvalidBytes) {
   EXPECT_EQ(prometheus_sanitize_name("tzgeo_pages_total"), "tzgeo_pages_total");
   EXPECT_EQ(prometheus_sanitize_name("ns:metric"), "ns:metric");

@@ -422,6 +422,77 @@ struct Y {
     expect(!debug_flagged, "unordered iteration away from sinks is clean");
   }
 
+  // --- line-rule matchers --------------------------------------------
+  expect(has_magic_hours_literal("int x = 24;"), "bare 24 flagged");
+  expect(has_magic_hours_literal("double d = 24.0;"), "24.0 flagged");
+  expect(has_magic_hours_literal("f(23u)"), "suffixed 23u flagged");
+  expect(!has_magic_hours_literal("double d = 0.25;"), "0.25 not flagged");
+  expect(!has_magic_hours_literal("int x = 245;"), "245 not flagged");
+  expect(!has_magic_hours_literal("int x = 124;"), "124 not flagged");
+  expect(!has_magic_hours_literal("x24 = 1"), "identifier x24 not flagged");
+  expect(!has_magic_hours_literal("0x24"), "hex 0x24 not flagged");
+  expect(!has_magic_hours_literal("1e24"), "exponent 1e24 not flagged");
+  expect(!has_magic_hours_literal("d = 24.5;"), "24.5 not flagged");
+
+  expect(contains_call("x = rand();", "rand"), "rand() flagged");
+  expect(!contains_call("x = srand(1);", "rand"), "srand not matched by rand");
+  expect(contains_call("srand(1);", "srand"), "srand() flagged");
+  expect(!contains_call("rng.uniform_int(0, 3)", "int"), "uniform_int not matched by int");
+  expect(contains_call("std::printf(\"x\")", "printf"), "std::printf flagged");
+  expect(!contains_call("std::snprintf(b, n, \"x\")", "printf"), "snprintf not matched");
+  // The stdout-io/stderr-log split hinges on the stderr token: fprintf to
+  // stderr belongs to stderr-log, fprintf to any other FILE* to stdout-io.
+  expect(contains_call("std::fprintf(stderr, \"x\")", "fprintf") &&
+             contains_token("std::fprintf(stderr, \"x\")", "stderr"),
+         "fprintf(stderr, ...) classified as stderr diagnostic");
+  expect(!contains_token("std::fprintf(sink, \"x\")", "stderr"),
+         "fprintf to another FILE* not classified as stderr");
+  expect(!contains_token("g_stderr_like(x)", "stderr"),
+         "identifier containing stderr not matched");
+  expect(contains_call("perror(\"open\")", "perror"), "perror flagged");
+  expect(contains_call("std::sscanf(s, \"%d\", &x)", "sscanf"), "std::sscanf flagged");
+  expect(contains_call("sscanf (s, \"%d\", &x)", "sscanf"), "sscanf with space flagged");
+  expect(!contains_call("vsscanf(s, f, ap)", "sscanf"), "vsscanf not matched by sscanf");
+
+  expect(has_bad_catch("} catch (...) {"), "catch (...) flagged");
+  expect(has_bad_catch("catch(std::exception e) {"), "catch-by-value flagged");
+  expect(has_bad_catch("} catch ( ... ) {"), "spaced catch (...) flagged");
+  expect(!has_bad_catch("} catch (const std::exception& e) {"),
+         "catch by const reference not flagged");
+  expect(!has_bad_catch("catch (const CrawlError& error) {"),
+         "catch by reference not flagged");
+  expect(!has_bad_catch("} catch (std::exception* e) {"),
+         "catch by pointer not flagged");
+  expect(!has_bad_catch("dispatch_catch(x)"), "identifier containing catch not flagged");
+  expect(!has_bad_catch("int catchall = 0;"), "catchall identifier not flagged");
+
+  expect(contains_prefix_token("__m256d acc = _mm256_setzero_pd();", "__m256"),
+         "suffixed __m256d flagged by prefix match");
+  expect(contains_prefix_token("_mm512_add_pd(a, b)", "_mm512_"),
+         "_mm512_ intrinsic flagged");
+  expect(contains_prefix_token("vld1q_f64(p)", "vld1q"), "vld1q_f64 flagged");
+  expect(contains_prefix_token("float64x2_t q;", "float64x"), "float64x2_t flagged");
+  expect(!contains_prefix_token("x__m256 = 1;", "__m256"),
+         "identifier ending in __m256 not flagged (left boundary)");
+  expect(!contains_prefix_token("register_mm_handler()", "_mm_"),
+         "_mm_ inside an identifier not flagged");
+
+  expect(contains_token("std::chrono::steady_clock::now()", "steady_clock"),
+         "steady_clock flagged");
+  expect(contains_token("chrono::high_resolution_clock::now()", "high_resolution_clock"),
+         "high_resolution_clock flagged");
+  expect(!contains_token("my_steady_clock_wrapper()", "steady_clock"),
+         "identifier containing steady_clock not flagged");
+
+  {
+    const std::string stripped =
+        tokenize("int a = 1; // 24 bins\nconst char* s = \"24\";\n/* 24 */ int b = 24;\n")
+            .stripped;
+    expect(stripped.find("24") != std::string::npos, "code literal survives stripping");
+    expect(stripped.rfind("24") == stripped.find("24"),
+           "comment and string literals stripped");
+  }
+
   // --- lint rules on the shared tokenizer ----------------------------
   {
     const std::vector<SourceFile> sources = {

@@ -1,9 +1,9 @@
-// The nine line-oriented tzgeo-lint rules (magic-hours, rng-source,
-// stdout-io, sscanf-parse, obs-clock, float-stats, simd-shim, catch-style,
-// pragma-once), ported onto the shared tokenizer: rules match against
+// The ten line-oriented tzgeo-lint rules (magic-hours, rng-source,
+// stdout-io, stderr-log, sscanf-parse, obs-clock, float-stats, simd-shim,
+// catch-style, pragma-once) on the shared tokenizer: rules match against
 // TokenizedSource::stripped lines, and `tzgeo-lint: allow(<rule>)`
 // waivers come from the marker table the tokenizer already built.
-// tools/tzgeo_lint.cpp is now a thin wrapper over this translation unit.
+// `tzgeo_analyze --lint-only` runs exactly these rules.
 #pragma once
 
 #include <functional>

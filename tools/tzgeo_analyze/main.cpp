@@ -13,7 +13,9 @@
 //                                            semantic passes
 //                 [--self-test]              run the in-memory fixture suite
 //
-// Passes: the nine tzgeo-lint line rules (shared tokenizer), include-graph
+// `tzgeo_analyze --lint-only` is the lint entry point (ctest tzgeo_lint).
+//
+// Passes: the ten tzgeo-lint line rules (shared tokenizer), include-graph
 // layering against src/*/CMakeLists.txt link deps, RAII lock-order cycles,
 // hot-path allocation (`tzgeo: hot` regions), and the determinism audit
 // (unordered iteration feeding checkpoint/CRC/exporter output).

@@ -57,8 +57,8 @@ TokenizedSource tokenize(std::string_view text) {
   out.marks.assign(out.line_count + 1, LineMark{});
 
   // Pass 1: blank comment/string/char-literal content, collecting marker
-  // comments as they stream past.  The state machine mirrors the one the
-  // old tzgeo_lint carried; markers are parsed only from comment states.
+  // comments as they stream past.  Markers are parsed only from comment
+  // states.
   enum class State { kCode, kLineComment, kBlockComment, kString, kChar, kRawString };
   State state = State::kCode;
   std::string raw_terminator;  // ")delim\"" for the active raw string

@@ -2,8 +2,7 @@
 // literals, and raw strings are handled exactly once, here — every rule
 // and pass downstream sees either the stripped text (line-oriented lint
 // rules) or the token stream (semantic fact extraction), never the raw
-// bytes.  This replaces the ad-hoc stripping that used to live inside
-// tools/tzgeo_lint.cpp.
+// bytes.
 //
 // Two outputs from one scan:
 //   * `stripped` — the input with comment/string/char-literal content
